@@ -17,12 +17,14 @@ import math
 import sys
 from typing import Sequence
 
+from . import __version__
 from .fmi import round_half_away, table1
 from .montecarlo import (
     ExperimentConfig,
     TAG_DATA,
     curve_data,
     derive_seed,
+    df_cv_curve,
     empirical_cv_of,
     gen_incomplete,
     pool_replicates,
@@ -33,8 +35,6 @@ from .montecarlo import (
 )
 from .planning import DEFAULT_M_MAX, ReplicabilityTarget, recommend
 from .pooling import pool, read_results_csv
-
-__version__ = "0.1.0"
 
 DEFAULT_SEED = 31415
 
@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replications (default: 100 two-stage, 2000 cv-check, 200 curve probes, 1000 df-reliability)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", metavar="BASE", help="write BASE.csv (records) and BASE.json (summary)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="kept for compatibility with existing scripts; has no effect")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--max-m", type=int, default=DEFAULT_M_MAX)
     p.add_argument("--m", type=int, default=20, help="imputations per replication (cv-check)")
@@ -249,8 +250,12 @@ def cmd_plan(args) -> int:
     pilot = pool(read_results_csv(args.pilot), args.level)
     target = _target_from_args(args)
     rec = recommend(pilot, target, args.level, args.max_m)
+    if rec.capped:
+        print(f"note: m_required capped at --max-m {args.max_m}", file=sys.stderr)
     payload = {
         "m_required": rec.m_required,
+        "m_uncapped": rec.m_uncapped,
+        "capped": rec.capped,
         "gamma_point": pilot.gamma_hat,
         "gamma_upper": rec.gamma_used,
         "cv_target": rec.cv_target,
@@ -309,7 +314,9 @@ def _sim_two_stage(args) -> int:
         level=args.level,
         m_max=args.max_m,
     )
-    records = run_two_stage_experiment(config, workers=args.workers)
+    records = run_two_stage_experiment(config)
+    if any(r.recommendation.capped for r in records):
+        print(f"note: m_required capped at --max-m {args.max_m}", file=sys.stderr)
     summary = summarize_two_stage(records)
     header = (
         "rep", "pilot_m", "pilot_estimate", "pilot_se", "pilot_gamma_hat", "pilot_df_hat",
@@ -353,7 +360,7 @@ def _sim_cv_check(args) -> int:
     if reps < 100:
         raise ValueError(f"insufficient replications: need at least 100, got {reps}")
     data = gen_incomplete(args.n, args.rho, args.missing, stream(args.seed, TAG_DATA))
-    pooled = pool_replicates(data, args.m, reps, args.seed, args.level, args.workers)
+    pooled = pool_replicates(data, args.m, reps, args.seed, args.level)
     result = empirical_cv_of(pooled)
     header = ("rep", "estimate", "se", "v_total", "gamma_hat", "df_hat")
     rows = [
@@ -380,8 +387,6 @@ def _sim_cv_check(args) -> int:
 
 def _sim_curve(args) -> int:
     if args.df_curve:
-        from .montecarlo import df_cv_curve
-
         cvs = _parse_floats(args.cvs) if args.cvs else [i / 100.0 for i in range(1, 51)]
         text = csv_text(("cv", "df"), df_cv_curve(cvs))
     else:
@@ -394,7 +399,7 @@ def _sim_curve(args) -> int:
             def sim(gamma: float) -> int:
                 return simulated_required_m(
                     gamma, args.cv_target, n=args.n, reps=reps,
-                    seed=seeds[float(gamma)], rho=args.rho, workers=args.workers,
+                    seed=seeds[float(gamma)], rho=args.rho,
                 )
 
         rows = curve_data(gammas, args.cv_target, args.max_m, simulated=sim)
@@ -418,7 +423,7 @@ def _sim_df_reliability(args) -> int:
     if reps < 100:
         raise ValueError(f"insufficient replications: need at least 100, got {reps}")
     data = gen_incomplete(args.n, args.rho, args.missing, stream(args.seed, TAG_DATA))
-    pooled = pool_replicates(data, args.pilot_m, reps, args.seed, args.level, args.workers)
+    pooled = pool_replicates(data, args.pilot_m, reps, args.seed, args.level)
     exceeds = [p.df_hat > args.df_threshold for p in pooled]
     header = ("rep", "gamma_hat", "df_hat", "exceeds_threshold")
     rows = [

@@ -3,14 +3,12 @@
 Experiments run on bivariate-normal data with MCAR deletion of the
 outcome.  Every replication draws its randomness from a stream derived
 deterministically from (seed, tag, index) via numpy's SeedSequence spawn
-keys, so results are bit-identical whether replications run serially or
-across threads.
+keys, so a replication's result depends only on the seed and its index.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -45,14 +43,6 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 def derive_seed(seed: int, *key: int) -> int:
     """A 64-bit child seed for a nested experiment stage."""
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
-
-
-def _run_indexed(fn: Callable[[int], object], count: int, workers: int) -> list:
-    """Evaluate fn(0..count-1), optionally across threads; order preserved."""
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool_:
-        return list(pool_.map(fn, range(count)))
 
 
 @dataclass(frozen=True)
@@ -158,7 +148,6 @@ def run_two_stage(
 def run_two_stage_experiment(
     config: ExperimentConfig,
     data: IncompleteBivariate | None = None,
-    workers: int = 1,
 ) -> list[TwoStageRecord]:
     """config.reps replications of the two-stage procedure on one dataset.
 
@@ -170,12 +159,10 @@ def run_two_stage_experiment(
         data = gen_incomplete(
             config.n, config.rho, config.missing_fraction, stream(config.seed, TAG_DATA)
         )
-    fixed = data
-
-    def one(r: int) -> TwoStageRecord:
-        return run_two_stage(config, stream(config.seed, TAG_REP, r), data=fixed, rep_index=r)
-
-    return _run_indexed(one, config.reps, workers)
+    return [
+        run_two_stage(config, stream(config.seed, TAG_REP, r), data=data, rep_index=r)
+        for r in range(config.reps)
+    ]
 
 
 @dataclass(frozen=True)
@@ -232,16 +219,11 @@ def pool_replicates(
     reps: int,
     seed: int,
     level: float = 0.95,
-    workers: int = 1,
 ) -> list[PooledAnalysis]:
     """Re-impute a fixed dataset reps times, pooling m imputations each time."""
     if reps < 1:
         raise ValueError(f"domain error: reps must be >= 1, got {reps}")
-
-    def one(r: int) -> PooledAnalysis:
-        return _pool_once(data, m, stream(seed, TAG_REP, r), level)
-
-    return _run_indexed(one, reps, workers)
+    return [_pool_once(data, m, stream(seed, TAG_REP, r), level) for r in range(reps)]
 
 
 @dataclass(frozen=True)
@@ -276,13 +258,12 @@ def empirical_cv(
     m: int,
     reps: int,
     seed: int,
-    workers: int = 1,
 ) -> EmpiricalCv:
     """Hold the observed data fixed and measure how the pooled variance
     and SE vary across independent sets of m imputations."""
     if reps < 100:
         raise ValueError(f"insufficient replications: need at least 100, got {reps}")
-    return empirical_cv_of(pool_replicates(data, m, reps, seed, workers=workers))
+    return empirical_cv_of(pool_replicates(data, m, reps, seed))
 
 
 def required_m(
@@ -292,7 +273,6 @@ def required_m(
     m_hi: int = 512,
     reps: int = 200,
     seed: int = 0,
-    workers: int = 1,
 ) -> int:
     """Smallest m in [m_lo, m_hi] whose measured SE coefficient of
     variation on this dataset is at or below cv_target.
@@ -307,7 +287,7 @@ def required_m(
         raise ValueError(f"domain error: need 2 <= m_lo < m_hi, got ({m_lo}, {m_hi})")
 
     def probe(m: int, tag: int) -> float:
-        return empirical_cv(data, m, reps, derive_seed(seed, tag, m), workers=workers).cv_se
+        return empirical_cv(data, m, reps, derive_seed(seed, tag, m)).cv_se
 
     if probe(m_lo, TAG_PROBE) <= cv_target:
         candidate = m_lo
@@ -339,7 +319,6 @@ def df_reliability(
     config: ExperimentConfig,
     df_threshold: float,
     reps: int | None = None,
-    workers: int = 1,
 ) -> float:
     """Fraction of pilot poolings whose estimated df exceeds the threshold.
 
@@ -353,7 +332,7 @@ def df_reliability(
     data = gen_incomplete(
         config.n, config.rho, config.missing_fraction, stream(config.seed, TAG_DATA)
     )
-    pooled = pool_replicates(data, config.pilot_m, reps, config.seed, config.level, workers)
+    pooled = pool_replicates(data, config.pilot_m, reps, config.seed, config.level)
     dfs = np.array([p.df_hat for p in pooled])
     return float(np.mean(dfs > df_threshold))
 
@@ -470,7 +449,6 @@ def simulated_required_m(
     seed: int = 0,
     rho: float = 0.0,
     m_hi: int | None = None,
-    workers: int = 1,
 ) -> int:
     """Empirical required m for a setup calibrated to the given gamma.
 
@@ -482,4 +460,4 @@ def simulated_required_m(
     if m_hi is None:
         predicted = m_for_se_cv(gamma, cv_target)
         m_hi = min(DEFAULT_M_MAX, 3 * predicted + 16)
-    return required_m(data, cv_target, m_lo=2, m_hi=m_hi, reps=reps, seed=seed, workers=workers)
+    return required_m(data, cv_target, m_lo=2, m_hi=m_hi, reps=reps, seed=seed)

@@ -65,18 +65,25 @@ class Recommendation:
     df_implied: float
     pilot_sufficient: bool
     pilot_m: int
+    m_uncapped: float  # the rule's count before the m_max cap; math.inf on overflow
+    capped: bool  # m_required was cut to m_max
+
+
+def _capped_count(raw: float, m_max: int) -> tuple[int, float]:
+    """(count, uncapped): the ceiling of raw floored at 2, with and without the m_max cap."""
+    if math.isinf(raw):
+        return m_max, math.inf
+    m = math.ceil(raw - _CEIL_SLACK * max(1.0, abs(raw)))
+    return (m_max if m > m_max else max(m, 2)), max(m, 2)
 
 
 def ceil_count(raw: float, m_max: int = DEFAULT_M_MAX) -> int:
     """Ceiling of a real-valued imputation count, floored at 2, capped at m_max."""
-    m = math.ceil(raw - _CEIL_SLACK * max(1.0, abs(raw)))
-    if m > m_max:
-        warnings.warn(
-            f"recommended imputation count {m} capped at m_max={m_max}",
-            stacklevel=2,
-        )
-        return m_max
-    return max(m, 2)
+    m, uncapped = _capped_count(raw, m_max)
+    if m != uncapped:
+        warnings.warn(f"recommended imputation count {uncapped} capped at m_max={m_max}",
+                      stacklevel=2)
+    return m
 
 
 def _check_unit_interval(name: str, value: float) -> None:
@@ -84,12 +91,16 @@ def _check_unit_interval(name: str, value: float) -> None:
         raise ValueError(f"domain error: {name} must be in (0, 1), got {value!r}")
 
 
-def m_for_se_cv(gamma: float, cv: float, m_max: int = DEFAULT_M_MAX) -> int:
-    """Imputations needed so the pooled SE has coefficient of variation cv."""
+def _se_cv_rule(gamma: float, cv: float) -> float:
     _check_unit_interval("gamma", gamma)
     _check_unit_interval("cv", cv)
     ratio = gamma / cv
-    return ceil_count(1.0 + 0.5 * ratio * ratio, m_max)
+    return 1.0 + 0.5 * ratio * ratio
+
+
+def m_for_se_cv(gamma: float, cv: float, m_max: int = DEFAULT_M_MAX) -> int:
+    """Imputations needed so the pooled SE has coefficient of variation cv."""
+    return ceil_count(_se_cv_rule(gamma, cv), m_max)
 
 
 def m_for_var_cv(gamma: float, cv_v: float, m_max: int = DEFAULT_M_MAX) -> int:
@@ -171,19 +182,27 @@ def recommend(
     m falls short equally rarely.  The caller decides whether to stop
     (pilot_sufficient) or run a final analysis with m_required fresh
     imputations.
+
+    A rule count above m_max is cut to m_max without a warning; the
+    result reports it through capped and m_uncapped.  pilot_sufficient
+    compares the pilot's m with the capped m_required.
     """
     gamma_used = gamma_ci(pilot.gamma_hat, pilot.m, level).upper
     cv_target = _resolve_cv_target(pilot, target)
     if cv_target >= 1.0:
         # Looser than any useful goal; the floor of 2 dominates the rule.
-        m_required = 2
+        m_required = m_uncapped = 2
     else:
-        m_required = m_for_se_cv(gamma_used, cv_target, m_max)
+        m_required, m_uncapped = _capped_count(_se_cv_rule(gamma_used, cv_target), m_max)
+    # 2 cv^2 underflows to zero for cv below about 1e-162.
+    two_cv_sq = 2.0 * cv_target * cv_target
     return Recommendation(
         m_required=m_required,
         gamma_used=gamma_used,
         cv_target=cv_target,
-        df_implied=1.0 / (2.0 * cv_target * cv_target),
+        df_implied=1.0 / two_cv_sq if two_cv_sq > 0.0 else math.inf,
         pilot_sufficient=pilot.m >= m_required,
         pilot_m=pilot.m,
+        m_uncapped=m_uncapped,
+        capped=m_required != m_uncapped,
     )

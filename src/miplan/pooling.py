@@ -132,11 +132,11 @@ def pool(
 def read_results_csv(path: str) -> list[ImputationResult]:
     """Read per-imputation results from CSV.
 
-    The header must be exactly ``imputation,estimate,variance``; extra
-    columns are rejected.  Rows may appear in any order; duplicate
-    imputation indices are an error.  Returns results ordered by index.
+    The header must be exactly ``imputation,estimate,variance``, after an optional
+    UTF-8 byte-order mark; extra columns are rejected.  Rows may appear in any order;
+    duplicate imputation indices are an error.  Returns results ordered by index.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

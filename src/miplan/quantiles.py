@@ -1,83 +1,45 @@
-"""Normal and Student-t quantiles by numerical inversion of the CDF."""
+"""Normal and Student-t quantiles and CDFs from scipy.special's exact routines."""
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-from scipy.optimize import brentq
-from scipy.special import betainc, erfc
-
-# Above this df the t CDF and the normal CDF agree far beyond the 1e-8
-# accuracy target, so the normal path is used directly.
-NORMAL_DF_CUTOFF = 1e6
-
-_SQRT2 = math.sqrt(2.0)
+from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 
 def normal_cdf(x: float) -> float:
-    """Standard normal CDF, accurate to machine precision via erfc."""
-    return 0.5 * erfc(-x / _SQRT2)
+    """Standard normal CDF."""
+    return float(ndtr(x))
 
 
 def t_cdf(x: float, df: float) -> float:
-    """CDF of a Student-t variate with ``df`` degrees of freedom.
-
-    Uses the regularized incomplete beta function: for x >= 0 the upper
-    tail is betainc(df/2, 1/2, df/(df + x^2)) / 2, and the distribution
-    is symmetric about zero.  Accepts non-integer df.
-    """
+    """CDF of a Student-t variate with ``df`` degrees of freedom; accepts non-integer df."""
     if df <= 0:
         raise ValueError("invalid quantile request: df must be > 0")
-    if x == 0.0:
-        return 0.5
-    tail = 0.5 * betainc(0.5 * df, 0.5, df / (df + x * x))
-    return 1.0 - tail if x > 0 else tail
+    return float(stdtr(df, x))
 
 
-def _invert_cdf(cdf, p: float) -> float:
-    """Solve cdf(x) = p by bracketing and Brent's method.
-
-    Only p <= 0.5 is handled here; the symmetric distributions served by
-    this module reflect the upper tail onto the lower one, where the CDF
-    is well conditioned (no 1 - tiny cancellation).
-    """
-    if p == 0.5:
-        return 0.0
-    lo, hi = -1.0, 0.0
-    # Doubling covers even the heavy-tailed df=1 case within ~60 steps.
-    while cdf(lo) > p:
-        lo *= 2.0
-        if lo < -1e300:
-            raise ValueError("invalid quantile request: p too close to 0")
-    return brentq(lambda x: cdf(x) - p, lo, hi, xtol=1e-12, rtol=1e-12)
-
-
-def _symmetric_quantile(cdf, p: float) -> float:
-    return -_invert_cdf(cdf, 1.0 - p) if p > 0.5 else _invert_cdf(cdf, p)
+def _check_p(p: float) -> None:
+    if not (0.0 < p < 1.0) or not math.isfinite(p):
+        raise ValueError(f"invalid quantile request: p must be in (0, 1), got {p!r}")
 
 
 def t_quantile(p: float, df: float) -> float:
     """Quantile of the t distribution with ``df`` degrees of freedom.
 
-    Returns x with t_cdf(x, df) = p, accurate to better than 1e-8.
-    For df beyond NORMAL_DF_CUTOFF the normal CDF is inverted instead.
-
-    Raises ValueError for p outside (0, 1) or df <= 0.
+    Returns x with t_cdf(x, df) = p.  Raises ValueError for p outside
+    (0, 1) or df <= 0.
     """
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
-        raise ValueError(f"invalid quantile request: p must be in (0, 1), got {p!r}")
+    _check_p(p)
     if not df > 0:
         raise ValueError(f"invalid quantile request: df must be > 0, got {df!r}")
-    if df >= NORMAL_DF_CUTOFF or math.isinf(df):
-        return _symmetric_quantile(normal_cdf, p)
-    return _symmetric_quantile(lambda x: t_cdf(x, df), p)
+    return float(stdtrit(df, p))
 
 
 # Cached: pooling loops request the same handful of levels millions of times.
 @lru_cache(maxsize=256)
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile via the same CDF-inversion machinery."""
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
-        raise ValueError(f"invalid quantile request: p must be in (0, 1), got {p!r}")
-    return _symmetric_quantile(normal_cdf, p)
+    """Standard normal quantile."""
+    _check_p(p)
+    return float(ndtri(p))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -48,6 +49,14 @@ class TestPool:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_utf8_bom_accepted(self, tmp_path, capsys):
+        plain = write_two_row_csv(tmp_path)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "pilot.csv").read_bytes())
+        with_bom = run_cli(capsys, ["pool", "--in", str(bom)])
+        assert with_bom[0] == 0
+        assert with_bom == run_cli(capsys, ["pool", "--in", plain])
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["pool", "--in", "nope.csv"])
         assert code == 1
@@ -65,7 +74,7 @@ class TestPlan:
         assert code == 0
         payload = json.loads(out)
         assert list(payload) == [
-            "m_required", "gamma_point", "gamma_upper", "cv_target", "df_implied",
+            "m_required", "m_uncapped", "capped", "gamma_point", "gamma_upper", "cv_target", "df_implied",
             "pilot_m", "pilot_sufficient", "pilot_estimate", "pilot_se",
         ]
         assert 124 <= payload["m_required"] <= 128
@@ -73,6 +82,25 @@ class TestPlan:
         assert payload["pilot_m"] == 5
         assert payload["pilot_sufficient"] is False
         assert payload["pilot_se"] == pytest.approx(0.023, rel=1e-9)
+        assert (payload["m_uncapped"], payload["capped"]) == (payload["m_required"], False)
+
+    @pytest.mark.parametrize("target,max_m", [("0.0001", "50"), ("1e-200", "10000")])
+    def test_cap_reported_with_one_note(self, pilot_csv_factory, capsys, target, max_m):
+        argv = ["plan", "--pilot", self.pilot_path(pilot_csv_factory),
+                "--target-cv", target, "--max-m", max_m]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["m_required"] == int(max_m)
+        assert payload["capped"] is True
+        assert payload["pilot_sufficient"] is False
+        if target == "1e-200":
+            assert payload["m_uncapped"] is None and payload["df_implied"] is None
+        else:
+            assert payload["m_uncapped"] > int(max_m)
+        assert err == f"note: m_required capped at --max-m {max_m}\n"
 
     def test_target_kinds_accepted(self, pilot_csv_factory, capsys):
         path = self.pilot_path(pilot_csv_factory)
@@ -142,6 +170,17 @@ class TestSimulate:
             [float(cell) for cell in row]
         on_disk = json.loads((tmp_path / "ts.json").read_text())
         assert on_disk == payload
+
+    def test_two_stage_cap_reported_with_one_note(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "simulate", "--experiment", "two-stage", "--n", "200", "--target-cv", "0.001",
+                "--max-m", "10", "--reps", "3", "--seed", "5",
+            ])
+        assert code == 0
+        assert json.loads(out)["m_required"]["max"] == 10
+        assert err == "note: m_required capped at --max-m 10\n"
 
     def test_two_stage_needs_target(self):
         with pytest.raises(SystemExit) as exc:

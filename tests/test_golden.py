@@ -1,0 +1,90 @@
+"""Golden bytes: the CLI's stdout, stderr and --out files at fixed seeds.
+
+Every case runs one ``miplan`` command and compares each stream and file it
+writes with ``tests/golden/<case>.<suffix>``, byte for byte.  After an
+intended change of output, rewrite the goldens with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review their diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from miplan.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+PILOT = str(GOLDEN / "pilot.csv")
+OUT = "{out}"  # replaced by a per-case path in a scratch directory
+
+CASES = {
+    "pool_json": ["pool", "--in", PILOT],
+    "pool_text": ["pool", "--in", PILOT, "--format", "text"],
+    "plan_json": ["plan", "--pilot", PILOT, "--target-sd", "0.001"],
+    "plan_text": ["plan", "--pilot", PILOT, "--target-cv", "0.05", "--format", "text"],
+    "plan_capped": ["plan", "--pilot", PILOT, "--target-cv", "0.0001", "--max-m", "50"],
+    "table1_csv": ["table1"],
+    "table1_text": ["table1", "--format", "text", "--out", OUT + ".txt"],
+    "cv_check": ["simulate", "--experiment", "cv-check", "--n", "300", "--m", "5",
+                 "--reps", "100", "--seed", "4242", "--out", OUT],
+    "two_stage": ["simulate", "--experiment", "two-stage", "--n", "200", "--missing", "0.35",
+                  "--pilot-m", "5", "--target-cv", "0.1", "--reps", "10", "--seed", "7",
+                  "--out", OUT],
+    "df_reliability": ["simulate", "--experiment", "df-reliability", "--n", "300",
+                       "--missing", "0.4", "--pilot-m", "5", "--reps", "100", "--seed", "21",
+                       "--out", OUT],
+    "curve": ["simulate", "--experiment", "curve", "--gammas", "0.1,0.35,0.9",
+              "--cv-target", "0.03"],
+    "curve_simulated": ["simulate", "--experiment", "curve", "--simulated", "--gammas", "0.5",
+                        "--n", "200", "--reps", "100", "--cv-target", "0.2", "--seed", "3",
+                        "--out", OUT],
+    "df_curve": ["simulate", "--experiment", "curve", "--df-curve", "--cvs", "0.01,0.05,0.3",
+                 "--out", OUT],
+}
+
+
+def run_case(name: str, scratch: Path) -> dict[str, bytes]:
+    """Run one case; return {suffix: bytes} for stdout, stderr (when not
+    empty) and every file the command wrote."""
+    out_dir = scratch / name
+    out_dir.mkdir()
+    argv = [arg.replace(OUT, str(out_dir / name)) for arg in CASES[name]]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main(argv) == 0
+    produced = {"stdout": stdout.getvalue().encode()}
+    if stderr.getvalue():
+        produced["stderr"] = stderr.getvalue().encode()
+    for path in out_dir.iterdir():
+        produced[path.suffix[1:]] = path.read_bytes()
+    return produced
+
+
+def golden(name: str) -> dict[str, bytes]:
+    return {path.suffix[1:]: path.read_bytes() for path in GOLDEN.glob(f"{name}.*")}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path):
+    assert run_case(name, tmp_path) == golden(name)
+
+
+def record() -> None:
+    """Rewrite every golden file from the current code."""
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in CASES:
+            for path in GOLDEN.glob(f"{name}.*"):
+                path.unlink()
+            for suffix, data in run_case(name, Path(scratch)).items():
+                (GOLDEN / f"{name}.{suffix}").write_bytes(data)
+
+
+if __name__ == "__main__":
+    record()

@@ -1,4 +1,4 @@
-"""Experiment harness: determinism, parallel equivalence, and MC properties."""
+"""Experiment harness: determinism and MC properties."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from miplan import (
     empirical_cv,
     gen_incomplete,
     pool,
-    pool_replicates,
     recommend,
     required_m,
     run_two_stage,
@@ -134,12 +133,6 @@ class TestTwoStage:
         second = run_two_stage_experiment(config)
         assert first == second
 
-    def test_parallel_equals_serial(self):
-        config = small_config(reps=8)
-        serial = run_two_stage_experiment(config, workers=1)
-        threaded = run_two_stage_experiment(config, workers=4)
-        assert serial == threaded
-
 
 class TestSummaries:
     def dummy_record(self, rep, gamma, se):
@@ -174,10 +167,6 @@ class TestEmpiricalCv:
     def test_deterministic(self):
         d = gen_incomplete(300, 0.0, 0.5, stream(3, TAG_DATA))
         assert empirical_cv(d, 5, 120, seed=3) == empirical_cv(d, 5, 120, seed=3)
-
-    def test_parallel_equals_serial(self):
-        d = gen_incomplete(300, 0.0, 0.5, stream(3, TAG_DATA))
-        assert empirical_cv(d, 5, 120, seed=3, workers=3) == empirical_cv(d, 5, 120, seed=3)
 
     def test_large_m_shrinks_cv(self):
         d = gen_incomplete(300, 0.0, 0.5, stream(9, TAG_DATA))
@@ -258,10 +247,3 @@ class TestCalibration:
     def test_target_validated(self):
         with pytest.raises(ValueError, match="domain error"):
             calibrate_missing_fraction(1.5, n=400, seed=2)
-
-
-def test_pool_replicates_parallel_equals_serial():
-    d = gen_incomplete(300, 0.0, 0.5, stream(17, TAG_DATA))
-    serial = pool_replicates(d, 4, 30, seed=17)
-    threaded = pool_replicates(d, 4, 30, seed=17, workers=4)
-    assert serial == threaded

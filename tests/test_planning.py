@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,17 @@ class TestRecommend:
         assert rec.pilot_m == 5
         assert rec.cv_target == pytest.approx(0.001 / 0.023, rel=1e-9)
         assert rec.df_implied == pytest.approx(1.0 / (2 * rec.cv_target**2), rel=1e-12)
+        assert (rec.m_uncapped, rec.capped) == (rec.m_required, False)
+
+    def test_cap_reported_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = recommend(self.pilot(), ReplicabilityTarget("cv_of_se", 1e-4), m_max=50)
+            overflow = recommend(self.pilot(), ReplicabilityTarget("cv_of_se", 1e-200))
+        assert (rec.m_required, rec.capped, rec.pilot_sufficient) == (50, True, False)
+        assert rec.m_uncapped == m_for_se_cv(rec.gamma_used, 1e-4, m_max=10**9)
+        assert (overflow.m_required, overflow.capped) == (10_000, True)
+        assert overflow.m_uncapped == overflow.df_implied == math.inf
 
     def test_target_kinds_agree(self):
         pilot = self.pilot()
