@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -47,18 +49,30 @@ CASES = {
                         "--out", OUT],
     "df_curve": ["simulate", "--experiment", "curve", "--df-curve", "--cvs", "0.01,0.05,0.3",
                  "--out", OUT],
+    "version": ["--version"],
+    "help": ["--help"],
+    "pool_help": ["pool", "--help"],
+    "plan_help": ["plan", "--help"],
+    "table1_help": ["table1", "--help"],
+    "simulate_help": ["simulate", "--help"],
 }
 
 
 def run_case(name: str, scratch: Path) -> dict[str, bytes]:
     """Run one case; return {suffix: bytes} for stdout, stderr (when not
-    empty) and every file the command wrote."""
+    empty) and every file the command wrote.  ``--help`` and ``--version``
+    end in SystemExit(0); help is wrapped at 80 columns whatever the terminal."""
     out_dir = scratch / name
     out_dir.mkdir()
     argv = [arg.replace(OUT, str(out_dir / name)) for arg in CASES[name]]
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        assert main(argv) == 0
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0
     produced = {"stdout": stdout.getvalue().encode()}
     if stderr.getvalue():
         produced["stderr"] = stderr.getvalue().encode()
