@@ -15,22 +15,20 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import __version__
 from .fmi import round_half_away, table1
 from .montecarlo import (
     ExperimentConfig,
-    TAG_DATA,
     curve_data,
     derive_seed,
     df_cv_curve,
     empirical_cv_of,
-    gen_incomplete,
-    pool_replicates,
+    pool_fixed_dataset,
     run_two_stage_experiment,
     simulated_required_m,
-    stream,
     summarize_two_stage,
 )
 from .planning import DEFAULT_M_MAX, ReplicabilityTarget, recommend
@@ -38,18 +36,26 @@ from .pooling import pool, read_results_csv
 
 DEFAULT_SEED = 31415
 
+# Each target flag's ReplicabilityTarget kind and its help text under plan.
+# simulate takes every flag but --target-vcv, without help text.
+TARGET_FLAGS = {
+    "--target-sd": ("sd_of_se", "goal for the SD of the pooled SE across re-imputations"),
+    "--target-cv": ("cv_of_se", "goal for the CV of the pooled SE"),
+    "--target-vcv": ("cv_of_variance", "goal for the CV of the pooled variance"),
+    "--target-df": ("df", "goal for the df of the pooled variance"),
+}
 
-class UsageError(Exception):
-    """Bad flag combination detected after argparse."""
+
+class _TargetAction(argparse.Action):
+    """Store a target flag as args.target = (kind, value)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.target = (TARGET_FLAGS[option_string][0], value)
 
 
 def _fmt(value: float) -> str:
     """Machine rendering of a float: 17 significant digits."""
     return format(float(value), ".17g")
-
-
-def _fmt_text(value: float) -> str:
-    return format(float(value), ".4g")
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -81,49 +87,35 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return _fmt(value)
     return str(value)
 
 
-def write_csv(dest, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    writer = csv.writer(dest, lineterminator="\n")
+def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_cell(v) for v in row])
-
-
-def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    write_csv(buf, header, rows)
     return buf.getvalue()
 
 
-def read_table(path: str) -> tuple[list[str], list[list[str]]]:
-    """Read back a CSV written by this tool: header plus string rows."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"invalid input: {path}: empty file") from None
-        return header, [row for row in reader if row]
-
-
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind: type) -> list:
+    """Comma-separated values of kind (float or int); empty items are skipped."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"invalid input: cannot parse float list {text!r}") from None
+        name = "integer" if kind is int else "float"
+        raise ValueError(f"invalid input: cannot parse {name} list {text!r}") from None
 
 
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"invalid input: cannot parse integer list {text!r}") from None
+def _add_target_flags(p: argparse.ArgumentParser, plan: bool) -> None:
+    group = p.add_mutually_exclusive_group(required=plan)
+    for flag, (kind, text) in TARGET_FLAGS.items():
+        if plan or kind != "cv_of_variance":
+            group.add_argument(flag, type=float, metavar="X", dest="target",
+                               action=_TargetAction, help=text if plan else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,15 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="recommend the number of imputations from a pilot")
     p.add_argument("--pilot", required=True, metavar="CSV",
                    help="pilot results CSV (same format as pool --in)")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--target-sd", type=float, metavar="X",
-                       help="goal for the SD of the pooled SE across re-imputations")
-    group.add_argument("--target-cv", type=float, metavar="X",
-                       help="goal for the CV of the pooled SE")
-    group.add_argument("--target-vcv", type=float, metavar="X",
-                       help="goal for the CV of the pooled variance")
-    group.add_argument("--target-df", type=float, metavar="X",
-                       help="goal for the df of the pooled variance")
+    _add_target_flags(p, plan=True)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--max-m", type=int, default=DEFAULT_M_MAX)
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -170,10 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--missing", type=float, default=0.5)
     p.add_argument("--pilot-m", type=int, default=5)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--target-sd", type=float, metavar="X")
-    group.add_argument("--target-cv", type=float, metavar="X")
-    group.add_argument("--target-df", type=float, metavar="X")
+    _add_target_flags(p, plan=False)
     p.add_argument("--reps", type=int, default=None,
                    help="replications (default: 100 two-stage, 2000 cv-check, 200 curve probes, 1000 df-reliability)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -194,35 +175,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _target_from_args(args) -> ReplicabilityTarget | None:
-    chosen = [
-        ("sd_of_se", args.target_sd),
-        ("cv_of_se", args.target_cv),
-        ("cv_of_variance", getattr(args, "target_vcv", None)),
-        ("df", args.target_df),
-    ]
-    for kind, value in chosen:
-        if value is not None:
-            return ReplicabilityTarget(kind, value)
-    return None
+def _write(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when there is no path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
-def _emit_outputs(args, header, rows, payload) -> None:
+def _print_payload(payload: dict, fmt: str = "json") -> None:
+    """A result as JSON, or as ``key: value`` text lines with floats at 4 digits."""
+    if fmt == "json":
+        print(render_json(payload))
+        return
+    for key, value in payload.items():
+        print(f"{key}: {format(value, '.4g') if isinstance(value, float) else value}")
+
+
+def _emit_outputs(args, header, rows, fields) -> None:
+    """A simulation's summary (the data setup, then fields) to stdout; with
+    --out BASE, its records to BASE.csv and the summary to BASE.json."""
+    payload = {
+        "experiment": args.experiment,
+        "n": args.n,
+        "rho": args.rho,
+        "missing_fraction": args.missing,
+        **fields,
+    }
     if args.out:
-        base = args.out
-        for suffix in (".csv", ".json"):
-            if base.endswith(suffix):
-                base = base[: -len(suffix)]
-        with open(base + ".csv", "w", newline="") as fh:
-            write_csv(fh, header, rows)
-        with open(base + ".json", "w") as fh:
-            fh.write(render_json(payload) + "\n")
-    print(render_json(payload))
+        base = args.out.removesuffix(".csv").removesuffix(".json")
+        _write(csv_text(header, rows), base + ".csv")
+        _write(render_json(payload) + "\n", base + ".json")
+    _print_payload(payload)
+
+
+def _note_cap(capped: bool, max_m: int) -> None:
+    if capped:
+        print(f"note: m_required capped at --max-m {max_m}", file=sys.stderr)
 
 
 def cmd_pool(args) -> int:
     analysis = pool(read_results_csv(args.infile), args.level)
-    payload = {
+    _print_payload({
         "m": analysis.m,
         "theta": analysis.theta,
         "w_bar": analysis.w_bar,
@@ -237,22 +232,15 @@ def cmd_pool(args) -> int:
         "theta_lower": analysis.theta_interval[0],
         "theta_upper": analysis.theta_interval[1],
         "level": analysis.level,
-    }
-    if args.format == "json":
-        print(render_json(payload))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {_fmt_text(value) if isinstance(value, float) else value}")
+    }, args.format)
     return 0
 
 
 def cmd_plan(args) -> int:
     pilot = pool(read_results_csv(args.pilot), args.level)
-    target = _target_from_args(args)
-    rec = recommend(pilot, target, args.level, args.max_m)
-    if rec.capped:
-        print(f"note: m_required capped at --max-m {args.max_m}", file=sys.stderr)
-    payload = {
+    rec = recommend(pilot, ReplicabilityTarget(*args.target), args.level, args.max_m)
+    _note_cap(rec.capped, args.max_m)
+    _print_payload({
         "m_required": rec.m_required,
         "m_uncapped": rec.m_uncapped,
         "capped": rec.capped,
@@ -264,17 +252,12 @@ def cmd_plan(args) -> int:
         "pilot_sufficient": rec.pilot_sufficient,
         "pilot_estimate": pilot.theta,
         "pilot_se": pilot.se,
-    }
-    if args.format == "json":
-        print(render_json(payload))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {_fmt_text(value) if isinstance(value, float) else value}")
+    }, args.format)
     return 0
 
 
 def cmd_table1(args) -> int:
-    rows = table1(_parse_floats(args.gammas), _parse_ints(args.ms), args.level)
+    rows = table1(_parse_list(args.gammas, float), _parse_list(args.ms, int), args.level)
     header = ("gamma", "m", "lower", "upper")
     cells = [(r.point, r.m, r.lower, r.upper) for r in rows]
     if args.format == "text":
@@ -286,22 +269,15 @@ def cmd_table1(args) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = csv_text(header, cells)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
-def _field_payload(fs) -> dict:
-    return {"mean": fs.mean, "sd": fs.sd, "min": fs.min, "max": fs.max}
-
-
 def _sim_two_stage(args) -> int:
-    target = _target_from_args(args)
-    if target is None:
-        raise UsageError("two-stage needs one of --target-sd, --target-cv, --target-df")
+    if args.target is None:
+        _PARSER.exit(2, "miplan: error: two-stage needs one of "
+                        "--target-sd, --target-cv, --target-df\n")
+    target = ReplicabilityTarget(*args.target)
     reps = args.reps if args.reps is not None else 100
     config = ExperimentConfig(
         n=args.n,
@@ -315,9 +291,8 @@ def _sim_two_stage(args) -> int:
         m_max=args.max_m,
     )
     records = run_two_stage_experiment(config)
-    if any(r.recommendation.capped for r in records):
-        print(f"note: m_required capped at --max-m {args.max_m}", file=sys.stderr)
     summary = summarize_two_stage(records)
+    _note_cap(any(r.recommendation.capped for r in records), args.max_m)
     header = (
         "rep", "pilot_m", "pilot_estimate", "pilot_se", "pilot_gamma_hat", "pilot_df_hat",
         "gamma_used", "cv_target", "m_required", "pilot_sufficient",
@@ -332,46 +307,29 @@ def _sim_two_stage(args) -> int:
         )
         for r in records
     ]
-    payload = {
-        "experiment": "two-stage",
-        "n": config.n,
-        "rho": config.rho,
-        "missing_fraction": config.missing_fraction,
+    fields = {
         "pilot_m": config.pilot_m,
         "target_kind": target.kind,
         "target_value": target.value,
         "reps": config.reps,
         "seed": config.seed,
         "level": config.level,
-        "m_required": _field_payload(summary.m_required),
-        "final_m": _field_payload(summary.final_m),
-        "final_estimate": _field_payload(summary.final_estimate),
-        "final_se": _field_payload(summary.final_se),
-        "final_df_hat": _field_payload(summary.final_df_hat),
-        "final_gamma_hat": _field_payload(summary.final_gamma_hat),
-        "achieved_sd_of_se": summary.achieved_sd_of_se,
     }
-    _emit_outputs(args, header, rows, payload)
+    fields.update(asdict(summary))  # the summary's "reps" keeps its place above
+    _emit_outputs(args, header, rows, fields)
     return 0
 
 
 def _sim_cv_check(args) -> int:
     reps = args.reps if args.reps is not None else 2000
-    if reps < 100:
-        raise ValueError(f"insufficient replications: need at least 100, got {reps}")
-    data = gen_incomplete(args.n, args.rho, args.missing, stream(args.seed, TAG_DATA))
-    pooled = pool_replicates(data, args.m, reps, args.seed, args.level)
+    pooled = pool_fixed_dataset(args.n, args.rho, args.missing, args.m, reps, args.seed, args.level)
     result = empirical_cv_of(pooled)
     header = ("rep", "estimate", "se", "v_total", "gamma_hat", "df_hat")
     rows = [
         (i, p.theta, p.se, p.v_total, p.gamma_hat, p.df_hat) for i, p in enumerate(pooled)
     ]
     predicted = result.mean_gamma_hat * math.sqrt(2.0 / (args.m - 1))
-    payload = {
-        "experiment": "cv-check",
-        "n": args.n,
-        "rho": args.rho,
-        "missing_fraction": args.missing,
+    _emit_outputs(args, header, rows, {
         "m": args.m,
         "reps": reps,
         "seed": args.seed,
@@ -380,17 +338,16 @@ def _sim_cv_check(args) -> int:
         "mean_gamma_hat": result.mean_gamma_hat,
         "cv_v_predicted": predicted,
         "cv_v_over_2cv_se": result.cv_v / (2.0 * result.cv_se),
-    }
-    _emit_outputs(args, header, rows, payload)
+    })
     return 0
 
 
 def _sim_curve(args) -> int:
     if args.df_curve:
-        cvs = _parse_floats(args.cvs) if args.cvs else [i / 100.0 for i in range(1, 51)]
+        cvs = _parse_list(args.cvs, float) if args.cvs else [i / 100.0 for i in range(1, 51)]
         text = csv_text(("cv", "df"), df_cv_curve(cvs))
     else:
-        gammas = _parse_floats(args.gammas)
+        gammas = _parse_list(args.gammas, float)
         sim = None
         if args.simulated:
             reps = args.reps if args.reps is not None else 200
@@ -403,74 +360,58 @@ def _sim_curve(args) -> int:
                 )
 
         rows = curve_data(gammas, args.cv_target, args.max_m, simulated=sim)
+        _note_cap(any(r.capped for r in rows), args.max_m)
         text = csv_text(
             ("gamma", "m_quadratic", "m_linear", "m_simulated"),
             [(r.gamma, r.m_quadratic, r.m_linear, r.m_simulated) for r in rows],
         )
-    if args.out:
-        base = args.out
-        if base.endswith(".csv"):
-            base = base[:-4]
-        with open(base + ".csv", "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # The curve writes BASE.csv only.
+    _write(text, args.out and args.out.removesuffix(".csv") + ".csv")
     return 0
 
 
 def _sim_df_reliability(args) -> int:
     reps = args.reps if args.reps is not None else 1000
-    if reps < 100:
-        raise ValueError(f"insufficient replications: need at least 100, got {reps}")
-    data = gen_incomplete(args.n, args.rho, args.missing, stream(args.seed, TAG_DATA))
-    pooled = pool_replicates(data, args.pilot_m, reps, args.seed, args.level)
+    pooled = pool_fixed_dataset(
+        args.n, args.rho, args.missing, args.pilot_m, reps, args.seed, args.level
+    )
     exceeds = [p.df_hat > args.df_threshold for p in pooled]
     header = ("rep", "gamma_hat", "df_hat", "exceeds_threshold")
     rows = [
         (i, p.gamma_hat, p.df_hat, flag) for i, (p, flag) in enumerate(zip(pooled, exceeds))
     ]
-    payload = {
-        "experiment": "df-reliability",
-        "n": args.n,
-        "rho": args.rho,
-        "missing_fraction": args.missing,
+    _emit_outputs(args, header, rows, {
         "pilot_m": args.pilot_m,
         "df_threshold": args.df_threshold,
         "reps": reps,
         "seed": args.seed,
         "fraction_above_threshold": sum(exceeds) / reps,
-    }
-    _emit_outputs(args, header, rows, payload)
+    })
     return 0
 
 
-def cmd_simulate(args) -> int:
-    handler = {
-        "two-stage": _sim_two_stage,
-        "cv-check": _sim_cv_check,
-        "curve": _sim_curve,
-        "df-reliability": _sim_df_reliability,
-    }[args.experiment]
-    return handler(args)
+COMMANDS = {
+    "pool": cmd_pool,
+    "plan": cmd_plan,
+    "table1": cmd_table1,
+    "two-stage": _sim_two_stage,
+    "cv-check": _sim_cv_check,
+    "curve": _sim_curve,
+    "df-reliability": _sim_df_reliability,
+}
+
+# Built once per process: building takes about as long as a whole plan run.
+_PARSER = build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    dispatch = {
-        "pool": cmd_pool,
-        "plan": cmd_plan,
-        "table1": cmd_table1,
-        "simulate": cmd_simulate,
-    }
+    args = _PARSER.parse_args(argv)
+    handler = COMMANDS[args.experiment if args.command == "simulate" else args.command]
     try:
-        return dispatch[args.command](args)
-    except UsageError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -86,7 +86,12 @@ def table1(
     ms: Sequence[int] = TABLE1_MS,
     level: float = 0.95,
 ) -> list[GammaInterval]:
-    """Grid of gamma confidence intervals, one per (gamma, m), row-major."""
+    """Grid of gamma confidence intervals, one per (gamma, m), row-major.
+
+    Every gamma must lie in (0, 1); unlike a pooled estimate, it is not clamped."""
+    for g in gammas:
+        if not 0.0 < g < 1.0:
+            raise ValueError(f"domain error: table1 gammas must be in (0, 1), got {g!r}")
     return [gamma_ci(g, m, level) for g in gammas for m in ms]
 
 

@@ -20,7 +20,8 @@ from .planning import (
     DEFAULT_M_MAX,
     Recommendation,
     ReplicabilityTarget,
-    ceil_count,
+    _capped_count,
+    _se_cv_rule,
     m_for_se_cv,
     recommend,
 )
@@ -226,6 +227,22 @@ def pool_replicates(
     return [_pool_once(data, m, stream(seed, TAG_REP, r), level) for r in range(reps)]
 
 
+def _check_measurement_reps(reps: int) -> None:
+    """Measured CVs and exceedance rates rest on 100 or more replications."""
+    if reps < 100:
+        raise ValueError(f"insufficient replications: need at least 100, got {reps}")
+
+
+def pool_fixed_dataset(
+    n: int, rho: float, missing_fraction: float, m: int, reps: int, seed: int, level: float = 0.95
+) -> list[PooledAnalysis]:
+    """Draw one dataset on the seed's data stream, then pool m fresh
+    imputations of it in each of reps (at least 100) replications."""
+    _check_measurement_reps(reps)
+    data = gen_incomplete(n, rho, missing_fraction, stream(seed, TAG_DATA))
+    return pool_replicates(data, m, reps, seed, level)
+
+
 @dataclass(frozen=True)
 class EmpiricalCv:
     """Measured re-imputation variability of the pooled variance and SE."""
@@ -261,8 +278,7 @@ def empirical_cv(
 ) -> EmpiricalCv:
     """Hold the observed data fixed and measure how the pooled variance
     and SE vary across independent sets of m imputations."""
-    if reps < 100:
-        raise ValueError(f"insufficient replications: need at least 100, got {reps}")
+    _check_measurement_reps(reps)
     return empirical_cv_of(pool_replicates(data, m, reps, seed))
 
 
@@ -326,15 +342,11 @@ def df_reliability(
     missing information, so this fraction shows how often a df-based
     stopping criterion would be triggered by chance.
     """
-    reps = config.reps if reps is None else reps
-    if reps < 100:
-        raise ValueError(f"insufficient replications: need at least 100, got {reps}")
-    data = gen_incomplete(
-        config.n, config.rho, config.missing_fraction, stream(config.seed, TAG_DATA)
+    pooled = pool_fixed_dataset(
+        config.n, config.rho, config.missing_fraction, config.pilot_m,
+        config.reps if reps is None else reps, config.seed, config.level,
     )
-    pooled = pool_replicates(data, config.pilot_m, reps, config.seed, config.level)
-    dfs = np.array([p.df_hat for p in pooled])
-    return float(np.mean(dfs > df_threshold))
+    return float(np.mean([p.df_hat > df_threshold for p in pooled]))
 
 
 @dataclass(frozen=True)
@@ -343,6 +355,7 @@ class CurveRow:
     m_quadratic: int
     m_linear: int
     m_simulated: int | None = None
+    capped: bool = False  # m_quadratic or m_linear was cut to m_max
 
 
 def curve_data(
@@ -353,15 +366,20 @@ def curve_data(
 ) -> list[CurveRow]:
     """Required-m comparison table: quadratic rule vs the linear rule
     m = 100 * gamma, with an optional simulated column (see
-    simulated_required_m) for checking which rule tracks reality."""
+    simulated_required_m) for checking which rule tracks reality.  Both
+    rule columns are capped at m_max without a warning; a row's capped
+    field says whether either was cut."""
     rows = []
     for gamma in gammas:
+        m_quadratic, quadratic_uncapped = _capped_count(_se_cv_rule(gamma, cv_target), m_max)
+        m_linear, linear_uncapped = _capped_count(100.0 * gamma, m_max)
         rows.append(
             CurveRow(
                 gamma=float(gamma),
-                m_quadratic=m_for_se_cv(gamma, cv_target, m_max),
-                m_linear=ceil_count(100.0 * gamma, m_max),
+                m_quadratic=m_quadratic,
+                m_linear=m_linear,
                 m_simulated=None if simulated is None else int(simulated(gamma)),
+                capped=(m_quadratic, m_linear) != (quadratic_uncapped, linear_uncapped),
             )
         )
     return rows

@@ -14,7 +14,6 @@ of the pilot's gamma confidence interval.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .fmi import gamma_ci
@@ -70,20 +69,15 @@ class Recommendation:
 
 
 def _capped_count(raw: float, m_max: int) -> tuple[int, float]:
-    """(count, uncapped): the ceiling of raw floored at 2, with and without the m_max cap."""
+    """(count, uncapped): the ceiling of raw floored at 2, with and without the m_max cap.
+
+    The package's only cap on an imputation count; it never warns."""
+    if m_max < 2:
+        raise ValueError(f"domain error: m_max must be >= 2, got {m_max!r}")
     if math.isinf(raw):
         return m_max, math.inf
     m = math.ceil(raw - _CEIL_SLACK * max(1.0, abs(raw)))
     return (m_max if m > m_max else max(m, 2)), max(m, 2)
-
-
-def ceil_count(raw: float, m_max: int = DEFAULT_M_MAX) -> int:
-    """Ceiling of a real-valued imputation count, floored at 2, capped at m_max."""
-    m, uncapped = _capped_count(raw, m_max)
-    if m != uncapped:
-        warnings.warn(f"recommended imputation count {uncapped} capped at m_max={m_max}",
-                      stacklevel=2)
-    return m
 
 
 def _check_unit_interval(name: str, value: float) -> None:
@@ -99,24 +93,25 @@ def _se_cv_rule(gamma: float, cv: float) -> float:
 
 
 def m_for_se_cv(gamma: float, cv: float, m_max: int = DEFAULT_M_MAX) -> int:
-    """Imputations needed so the pooled SE has coefficient of variation cv."""
-    return ceil_count(_se_cv_rule(gamma, cv), m_max)
+    """Imputations needed so the pooled SE has CV cv, capped at m_max without a warning."""
+    return _capped_count(_se_cv_rule(gamma, cv), m_max)[0]
 
 
 def m_for_var_cv(gamma: float, cv_v: float, m_max: int = DEFAULT_M_MAX) -> int:
-    """Imputations needed so the pooled variance has coefficient of variation cv_v."""
+    """Imputations needed so the pooled variance has CV cv_v, capped at m_max without a warning."""
     _check_unit_interval("gamma", gamma)
     _check_unit_interval("cv_v", cv_v)
     ratio = gamma / cv_v
-    return ceil_count(1.0 + 2.0 * ratio * ratio, m_max)
+    return _capped_count(1.0 + 2.0 * ratio * ratio, m_max)[0]
 
 
 def m_for_df(gamma: float, df: float, m_max: int = DEFAULT_M_MAX) -> int:
-    """Imputations needed so the pooled variance has the given degrees of freedom."""
+    """Imputations needed so the pooled variance has df degrees of freedom, capped at m_max
+    without a warning."""
     _check_unit_interval("gamma", gamma)
     if not (math.isfinite(df) and df >= 1.0):
         raise ValueError(f"domain error: df must be >= 1, got {df!r}")
-    return ceil_count(1.0 + df * gamma * gamma, m_max)
+    return _capped_count(1.0 + df * gamma * gamma, m_max)[0]
 
 
 def cv_df_convert(x: float, direction: str) -> float:
@@ -185,15 +180,14 @@ def recommend(
 
     A rule count above m_max is cut to m_max without a warning; the
     result reports it through capped and m_uncapped.  pilot_sufficient
-    compares the pilot's m with the capped m_required.
+    compares the pilot's m with the capped m_required.  m_max must be at
+    least 2.
     """
     gamma_used = gamma_ci(pilot.gamma_hat, pilot.m, level).upper
     cv_target = _resolve_cv_target(pilot, target)
-    if cv_target >= 1.0:
-        # Looser than any useful goal; the floor of 2 dominates the rule.
-        m_required = m_uncapped = 2
-    else:
-        m_required, m_uncapped = _capped_count(_se_cv_rule(gamma_used, cv_target), m_max)
+    # A cv target of 1 or more is looser than any useful goal; the floor of 2 applies.
+    raw = 2.0 if cv_target >= 1.0 else _se_cv_rule(gamma_used, cv_target)
+    m_required, m_uncapped = _capped_count(raw, m_max)
     # 2 cv^2 underflows to zero for cv below about 1e-162.
     two_cv_sq = 2.0 * cv_target * cv_target
     return Recommendation(

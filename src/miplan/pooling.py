@@ -99,10 +99,14 @@ def pool(
     estimates = estimates[order]
     withins = withins[order]
 
-    theta = float(np.mean(estimates))
-    b = float(np.var(estimates, ddof=1))
-    w_bar = float(np.mean(withins))
+    # Finite inputs near the float64 limit can overflow; that is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = float(np.mean(estimates))
+        b = float(np.var(estimates, ddof=1))
+        w_bar = float(np.mean(withins))
     v_total = w_bar + (1.0 + 1.0 / m) * b
+    if not (math.isfinite(theta) and math.isfinite(v_total)):
+        raise ValueError("invalid input: pooled estimate or variance overflows float64")
     if not v_total > 0.0:
         raise ValueError("invalid input: pooled variance must be positive")
     se = math.sqrt(v_total)
@@ -134,37 +138,44 @@ def read_results_csv(path: str) -> list[ImputationResult]:
 
     The header must be exactly ``imputation,estimate,variance``, after an optional
     UTF-8 byte-order mark; extra columns are rejected.  Rows may appear in any order;
-    duplicate imputation indices are an error.  Returns results ordered by index.
+    the indices must be 1..m, each once: a duplicate or a gap is an error.
+    Returns results ordered by index.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"invalid input: {path}: empty file") from None
-        if tuple(h.strip() for h in header) != RESULTS_CSV_HEADER:
+            lines = list(csv.reader(fh))
+        except csv.Error as exc:
+            raise ValueError(f"invalid input: {path}: {exc}") from None
+    if not lines:
+        raise ValueError(f"invalid input: {path}: empty file")
+    header = lines[0]
+    if tuple(h.strip() for h in header) != RESULTS_CSV_HEADER:
+        raise ValueError(
+            f"invalid input: {path}: header must be "
+            f"{','.join(RESULTS_CSV_HEADER)!r}, got {','.join(header)!r}"
+        )
+    rows: dict[int, ImputationResult] = {}
+    for lineno, row in enumerate(lines[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ValueError(f"invalid input: {path}:{lineno}: expected 3 columns")
+        try:
+            index = int(row[0])
+            result = ImputationResult(float(row[1]), float(row[2]))
+        except ValueError as exc:
+            raise ValueError(f"invalid input: {path}:{lineno}: {exc}") from None
+        if index < 1:
             raise ValueError(
-                f"invalid input: {path}: header must be "
-                f"{','.join(RESULTS_CSV_HEADER)!r}, got {','.join(header)!r}"
+                f"invalid input: {path}:{lineno}: imputation index must be >= 1"
             )
-        rows: dict[int, ImputationResult] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"invalid input: {path}:{lineno}: expected 3 columns")
-            try:
-                index = int(row[0])
-                result = ImputationResult(float(row[1]), float(row[2]))
-            except ValueError as exc:
-                raise ValueError(f"invalid input: {path}:{lineno}: {exc}") from None
-            if index < 1:
-                raise ValueError(
-                    f"invalid input: {path}:{lineno}: imputation index must be >= 1"
-                )
-            if index in rows:
-                raise ValueError(
-                    f"invalid input: {path}:{lineno}: duplicate imputation index {index}"
-                )
-            rows[index] = result
+        if index in rows:
+            raise ValueError(
+                f"invalid input: {path}:{lineno}: duplicate imputation index {index}"
+            )
+        rows[index] = result
+    # The indices are unique and >= 1, so they are 1..m exactly when the largest is m.
+    if rows and max(rows) != len(rows):
+        missing = next(i for i in range(1, len(rows) + 1) if i not in rows)
+        raise ValueError(f"invalid input: {path}: missing imputation index {missing}")
     return [rows[i] for i in sorted(rows)]

@@ -2,22 +2,38 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import warnings
 
 import pytest
 
 from miplan import cli
-from miplan.cli import main, read_table
+from miplan.cli import main
 
 from conftest import make_pilot_results
 from test_fmi import REFERENCE_CELLS
+
+
+def read_table(path):
+    """Header and rows of a CSV the CLI wrote."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(result, *fragments):
+    code, out, err = result
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
 
 
 def write_two_row_csv(tmp_path):
@@ -56,6 +72,20 @@ class TestPool:
         with_bom = run_cli(capsys, ["pool", "--in", str(bom)])
         assert with_bom[0] == 0
         assert with_bom == run_cli(capsys, ["pool", "--in", plain])
+
+    def test_index_gap_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "gap.csv"
+        path.write_text("imputation,estimate,variance\n1,1,1\n4,3,1\n2,2,1\n")
+        assert_one_error_line(run_cli(capsys, ["pool", "--in", str(path)]),
+                              f"invalid input: {path}: missing imputation index 3")
+
+    def test_overflow_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("imputation,estimate,variance\n1,1e308,1\n2,-1e308,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_cli(capsys, ["pool", "--in", str(path)])
+        assert_one_error_line(result, "overflows")
 
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["pool", "--in", "nope.csv"])
@@ -102,6 +132,12 @@ class TestPlan:
             assert payload["m_uncapped"] > int(max_m)
         assert err == f"note: m_required capped at --max-m {max_m}\n"
 
+    def test_max_m_below_two_exits_one(self, pilot_csv_factory, capsys):
+        argv = ["plan", "--pilot", self.pilot_path(pilot_csv_factory), "--target-cv", "0.05"]
+        for max_m in ("-5", "1"):
+            assert_one_error_line(run_cli(capsys, argv + ["--max-m", max_m]),
+                                  f"domain error: m_max must be >= 2, got {max_m}")
+
     def test_target_kinds_accepted(self, pilot_csv_factory, capsys):
         path = self.pilot_path(pilot_csv_factory)
         for flag, value in (("--target-cv", "0.05"), ("--target-vcv", "0.1"), ("--target-df", "200")):
@@ -139,6 +175,10 @@ class TestTable1:
         code, out, _ = run_cli(capsys, ["table1", "--format", "text", "--gammas", "0.3", "--ms", "5"])
         assert code == 0
         assert "(0.11, 0.60)" in out
+
+    def test_grid_outside_unit_interval_exits_one(self, capsys):
+        assert_one_error_line(run_cli(capsys, ["table1", "--gammas", "0,1"]),
+                              "domain error: table1 gammas must be in (0, 1), got 0.0")
 
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "t1.csv"
@@ -232,6 +272,23 @@ class TestSimulate:
         assert [c[1] for c in cells] == ["3", "51", "163"]
         assert [c[2] for c in cells] == ["10", "50", "90"]
         assert all(c[3] == "" for c in cells)
+
+    def test_curve_cap_reported_with_one_note(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "simulate", "--experiment", "curve", "--gammas", "0.5,0.9", "--max-m", "10",
+            ])
+        assert code == 0
+        assert out == (
+            "gamma,m_quadratic,m_linear,m_simulated\n0.5,10,10,\n0.90000000000000002,10,10,\n"
+        )
+        assert err == "note: m_required capped at --max-m 10\n"
+
+    def test_curve_max_m_below_two_exits_one(self, capsys):
+        assert_one_error_line(run_cli(capsys, [
+            "simulate", "--experiment", "curve", "--gammas", "0.5", "--max-m", "-3",
+        ]), "domain error: m_max must be >= 2")
 
     def test_df_curve(self, capsys):
         code, out, _ = run_cli(capsys, [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from miplan import (
     empirical_cv,
     gen_incomplete,
     pool,
+    pool_fixed_dataset,
+    pool_replicates,
     recommend,
     required_m,
     run_two_stage,
@@ -218,6 +221,13 @@ class TestDfReliability:
         with pytest.raises(ValueError, match="insufficient replications"):
             df_reliability(config, 100.0)
 
+    def test_fixed_dataset_comes_from_the_data_stream(self):
+        data = gen_incomplete(300, 0.0, 0.5, stream(3, TAG_DATA))
+        pooled = pool_fixed_dataset(300, 0.0, 0.5, 5, 100, seed=3)
+        assert pooled == pool_replicates(data, 5, 100, seed=3)
+        with pytest.raises(ValueError, match="insufficient replications"):
+            pool_fixed_dataset(300, 0.0, 0.5, 5, 99, seed=3)
+
 
 class TestCurves:
     def test_rule_columns(self):
@@ -226,6 +236,16 @@ class TestCurves:
         assert (rows[0.9].m_quadratic, rows[0.9].m_linear) == (163, 90)
         assert (rows[0.1].m_quadratic, rows[0.1].m_linear) == (3, 10)
         assert rows[0.5].m_simulated is None
+
+    def test_cap_flagged_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = curve_data([0.1, 0.5, 0.9], 0.05, m_max=50)
+        assert [(r.m_quadratic, r.m_linear, r.capped) for r in rows] == [
+            (3, 10, False), (50, 50, True), (50, 50, True)
+        ]
+        with pytest.raises(ValueError, match="domain error: m_max"):
+            curve_data([0.5], 0.05, m_max=-3)
 
     def test_simulated_hook(self):
         rows = curve_data([0.2, 0.4], 0.05, simulated=lambda g: int(round(100 * g)))

@@ -47,9 +47,19 @@ class TestRules:
         with pytest.raises(ValueError, match="domain error"):
             m_for_df(0.5, 0.5)
 
-    def test_cap_warns(self):
-        with pytest.warns(UserWarning, match="capped"):
+    def test_cap_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert m_for_se_cv(0.99, 0.001, m_max=10_000) == 10_000
+            assert m_for_var_cv(0.99, 0.002, m_max=50) == 50
+            assert m_for_df(0.99, 1e12, m_max=2) == 2
+
+    def test_m_max_below_two_rejected(self):
+        for m_max in (1, 0, -5):
+            with pytest.raises(ValueError, match="domain error: m_max"):
+                m_for_se_cv(0.5, 0.05, m_max=m_max)
+            with pytest.raises(ValueError, match="domain error: m_max"):
+                m_for_df(1e-6, 200, m_max=m_max)
 
     def test_rule_identities_on_grid(self):
         gammas = np.linspace(0.015, 0.985, 50)
@@ -197,6 +207,12 @@ class TestRecommend:
         rec = recommend(pilot, ReplicabilityTarget("sd_of_se", 10.0 * pilot.se))
         assert rec.m_required == 2
         assert rec.pilot_sufficient
+
+    def test_m_max_below_two_rejected(self):
+        pilot = self.pilot()
+        for target in (ReplicabilityTarget("cv_of_se", 0.05), ReplicabilityTarget("sd_of_se", 1.0)):
+            with pytest.raises(ValueError, match="domain error: m_max"):
+                recommend(pilot, target, m_max=1)
 
     @given(gamma=st.floats(min_value=0.05, max_value=0.9), m=st.sampled_from([3, 5, 9, 21]))
     @settings(max_examples=60, deadline=None)
