@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from typing import Sequence
@@ -292,7 +293,6 @@ def _sim_two_stage(args) -> int:
     )
     records = run_two_stage_experiment(config)
     summary = summarize_two_stage(records)
-    _note_cap(any(r.recommendation.capped for r in records), args.max_m)
     header = (
         "rep", "pilot_m", "pilot_estimate", "pilot_se", "pilot_gamma_hat", "pilot_df_hat",
         "gamma_used", "cv_target", "m_required", "pilot_sufficient",
@@ -317,6 +317,7 @@ def _sim_two_stage(args) -> int:
     }
     fields.update(asdict(summary))  # the summary's "reps" keeps its place above
     _emit_outputs(args, header, rows, fields)
+    _note_cap(any(r.recommendation.capped for r in records), args.max_m)
     return 0
 
 
@@ -337,12 +338,14 @@ def _sim_cv_check(args) -> int:
         "cv_se": result.cv_se,
         "mean_gamma_hat": result.mean_gamma_hat,
         "cv_v_predicted": predicted,
-        "cv_v_over_2cv_se": result.cv_v / (2.0 * result.cv_se),
+        # null when no y is missing: then every pooling is the same
+        "cv_v_over_2cv_se": result.cv_v / (2.0 * result.cv_se) if result.cv_se else math.nan,
     })
     return 0
 
 
 def _sim_curve(args) -> int:
+    capped = False
     if args.df_curve:
         cvs = _parse_list(args.cvs, float) if args.cvs else [i / 100.0 for i in range(1, 51)]
         text = csv_text(("cv", "df"), df_cv_curve(cvs))
@@ -360,13 +363,14 @@ def _sim_curve(args) -> int:
                 )
 
         rows = curve_data(gammas, args.cv_target, args.max_m, simulated=sim)
-        _note_cap(any(r.capped for r in rows), args.max_m)
+        capped = any(r.capped for r in rows)
         text = csv_text(
             ("gamma", "m_quadratic", "m_linear", "m_simulated"),
             [(r.gamma, r.m_quadratic, r.m_linear, r.m_simulated) for r in rows],
         )
     # The curve writes BASE.csv only.
     _write(text, args.out and args.out.removesuffix(".csv") + ".csv")
+    _note_cap(capped, args.max_m)
     return 0
 
 
@@ -408,7 +412,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     handler = COMMANDS[args.experiment if args.command == "simulate" else args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a reader that closed stdout shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nobody reads the rest.  Send it, and the interpreter's flush at
+        # exit, to devnull instead of reporting an error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,12 +5,20 @@ auxiliary x.  Each imputation first draws the regression parameters from
 their posterior given the complete cases (so between-imputation variance
 reflects parameter uncertainty), then fills each missing y with a draw
 from the predictive distribution at its x.
+
+``fit_and_draw``, ``impute_once``, ``impute_m`` and ``analyze_mean`` are
+the reference path: they build every completed dataset.
+``draw_mean_analyses`` draws what ``analyze_mean`` would return for m
+imputations from the same distribution, using sufficient statistics of
+the data and O(1) variates per imputation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +72,43 @@ class IncompleteBivariate:
     @property
     def n_obs(self) -> int:
         return int((~np.isnan(self.y)).sum())
+
+    @cached_property
+    def mean_stats(self) -> "MeanStats":
+        """Sufficient statistics of the data for ``draw_mean_analyses``,
+        computed on first use (the arrays are read-only, so they stay valid)."""
+        mask = self.missing_mask
+        xo, yo, xm = self.x[~mask], self.y[~mask], self.x[mask]
+        x_mean, y_mean = float(np.mean(xo)), float(np.mean(yo))
+        dx, dy = xo - x_mean, yo - y_mean
+        k = xm.shape[0]
+        x_mis_mean = float(np.mean(xm)) if k else x_mean
+        d = xm - x_mis_mean
+        return MeanStats(
+            n=self.n, n_obs=xo.shape[0], k=k, y_mean=y_mean,
+            sxx=float(dx @ dx), sxy=float(dx @ dy), syy=float(dy @ dy),
+            shift=x_mis_mean - x_mean, sdd=float(d @ d),
+        )
+
+
+class MeanStats(NamedTuple):
+    """What ``analyze_mean ∘ impute_m`` depends on in the data.
+
+    Over the n_obs complete cases: the mean of y and the centered sums of
+    squares and products Sxx, Sxy, Syy.  Over the k missing rows:
+    shift = mean(x_mis) - mean(x_obs) and Sdd = sum(d_i^2) with
+    d_i = x_i - mean(x_mis).
+    """
+
+    n: int
+    n_obs: int
+    k: int
+    y_mean: float
+    sxx: float
+    sxy: float
+    syy: float
+    shift: float
+    sdd: float
 
 
 @dataclass(frozen=True)
@@ -171,3 +216,57 @@ def analyze_mean(completed: CompletedDataset) -> ImputationResult:
     estimate = float(np.mean(y))
     within = float(np.var(y, ddof=1)) / n
     return ImputationResult(estimate=estimate, within_variance=within)
+
+
+def draw_mean_analyses(
+    data: IncompleteBivariate,
+    m: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates and within variances of m proper imputations, as two arrays.
+
+    They have the distribution of ``analyze_mean`` applied to each dataset
+    of ``impute_m(data, m, rng)``, and no dataset is built.  Each
+    imputation draws (beta0, beta1, sigma) from one chi-square and two
+    normals, as ``fit_and_draw`` does.  Its k fill normals z enter the
+    completed mean and variance only through sum(z), sum(d z) and
+    sum(z^2).  Since 1 and d are orthogonal, these are exactly
+    sqrt(k) e0, sqrt(Sdd) e1 and e0^2 + e1^2 + chi2(k - 2) for independent
+    standard normals e0, e1; for k = 1 they are e0, 0 and e0^2.  (When all
+    missing x are equal, Sdd = 0 and sum(z^2) = e0^2 + chi2(k - 1), which
+    e1^2 + chi2(k - 2) matches in distribution.)  With no missing y every
+    imputation is the observed data.
+    """
+    if m < 2:
+        raise ValueError(f"insufficient imputations: need m >= 2, got {m}")
+    s = data.mean_stats
+    if s.sxx <= 0.0:
+        raise ValueError("singular design: auxiliary x is constant among complete cases")
+    if s.k == 0:
+        return np.full(m, s.y_mean), np.full(m, s.syy / ((s.n - 1) * s.n))
+    chi2 = rng.chisquare(s.n_obs - 2, m)
+    z0, z1, e0, e1 = rng.standard_normal((4, m))
+    sum_z2 = e0 * e0
+    if s.k >= 2:
+        sum_z2 += e1 * e1
+    if s.k >= 3:
+        sum_z2 += rng.chisquare(s.k - 2, m)
+    return _mean_analyses(s, chi2, z0, z1, math.sqrt(s.k) * e0, math.sqrt(s.sdd) * e1, sum_z2)
+
+
+def _mean_analyses(s: MeanStats, chi2, z0, z1, sum_z, sum_dz, sum_z2):
+    """``analyze_mean`` of completed data in closed form, from the posterior
+    variates of ``fit_and_draw`` and the three sums of the fill normals."""
+    slope = s.sxy / s.sxx
+    rss = max(s.syy - slope * s.sxy, 0.0)
+    sigma = np.sqrt(rss / chi2)
+    beta1 = slope + sigma * z1 / math.sqrt(s.sxx)
+    # Centered at the observed mean of y (so the sums of squares below do
+    # not cancel on data with a large mean), a filled y_i is
+    # a + beta1 * d_i + sigma * z_i.
+    a = sigma * z0 / math.sqrt(s.n_obs) + beta1 * s.shift
+    t1 = s.k * a + sigma * sum_z
+    t2 = (s.syy + s.k * a * a + beta1 * beta1 * s.sdd + sigma * sigma * sum_z2
+          + 2.0 * sigma * (a * sum_z + beta1 * sum_dz))
+    n = s.n
+    return s.y_mean + t1 / n, (t2 - t1 * t1 / n) / ((n - 1) * n)

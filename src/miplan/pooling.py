@@ -75,7 +75,8 @@ def pool(
     Parameters
     ----------
     results : iterable of ImputationResult (or (estimate, variance) pairs)
-        One entry per imputation; at least two are required.
+        One entry per imputation; at least two are required.  Each is
+        checked as an ImputationResult, then the arrays go to pool_arrays.
     level : float
         Confidence level for both the gamma interval and the interval
         for the pooled estimate.
@@ -84,15 +85,27 @@ def pool(
     -------
     PooledAnalysis
     """
+    items = [r if isinstance(r, ImputationResult) else ImputationResult(*r) for r in results]
+    return pool_arrays(
+        np.array([r.estimate for r in items], dtype=np.float64),
+        np.array([r.within_variance for r in items], dtype=np.float64),
+        level,
+    )
+
+
+def pool_arrays(estimates: np.ndarray, withins: np.ndarray, level: float = 0.95) -> PooledAnalysis:
+    """Rubin's rules over the m estimates and within variances of one pooling.
+
+    The callers vouch for the entries (finite estimates, finite variances
+    >= 0): ``pool`` checks them, and the Monte Carlo engine draws them.
+    An overflowing or non-positive pooled variance is still rejected.
+    """
     if not (0.0 < level < 1.0):
         raise ValueError(f"domain error: level must be in (0, 1), got {level!r}")
-    items = [r if isinstance(r, ImputationResult) else ImputationResult(*r) for r in results]
-    m = len(items)
+    m = len(estimates)
     if m < 2:
         raise ValueError(f"insufficient imputations: need at least 2, got {m}")
 
-    estimates = np.array([r.estimate for r in items], dtype=np.float64)
-    withins = np.array([r.within_variance for r in items], dtype=np.float64)
     # Canonical ordering makes the result bit-identical under permutation
     # of the inputs.
     order = np.lexsort((withins, estimates))

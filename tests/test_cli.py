@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import miplan
 from miplan import cli
 from miplan.cli import main
 
@@ -222,6 +226,16 @@ class TestSimulate:
         assert json.loads(out)["m_required"]["max"] == 10
         assert err == "note: m_required capped at --max-m 10\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["--experiment", "curve", "--gammas", "0.5"],
+        ["--experiment", "two-stage", "--n", "200", "--target-cv", "0.001", "--reps", "3"],
+    ])
+    def test_failed_write_leaves_only_the_error(self, tmp_path, capsys, argv):
+        # The cap applies, but its note follows the outputs, which were not written.
+        out = str(tmp_path / "no_such_dir" / "x")
+        result = run_cli(capsys, ["simulate", *argv, "--max-m", "10", "--out", out])
+        assert_one_error_line(result, "No such file or directory")
+
     def test_two_stage_needs_target(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--experiment", "two-stage", "--reps", "4"])
@@ -262,6 +276,16 @@ class TestSimulate:
         ])
         assert code == 1
         assert err.startswith("error:")
+
+    def test_cv_check_without_missing_values(self, capsys):
+        # n = 20 at 1% missing draws no missing y on this seed: every pooling
+        # is the same, so cv_se is 0 and the ratio to it is undefined
+        code, out, err = run_cli(capsys, [
+            "simulate", "--experiment", "cv-check", "--n", "20", "--missing", "0.01",
+            "--m", "5", "--reps", "100", "--seed", "1",
+        ])
+        summary = json.loads(out)
+        assert (code, err, summary["cv_se"], summary["cv_v_over_2cv_se"]) == (0, "", 0, None)
 
     def test_curve_stdout(self, capsys):
         code, out, _ = run_cli(capsys, ["simulate", "--experiment", "curve", "--gammas", "0.1,0.5,0.9"])
@@ -313,6 +337,24 @@ class TestSimulate:
         header, rows = read_table(str(base) + ".csv")
         assert header == ["rep", "gamma_hat", "df_hat", "exceeds_threshold"]
         assert len(rows) == 100
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_one_quietly(tmp_path, unbuffered):
+    """A reader that closes the pipe early, as `miplan pool ... | head -0`
+    does, gets exit 1 and nothing on stderr, whether stdout is buffered or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(miplan.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "miplan.cli", "pool", "--in", write_two_row_csv(tmp_path),
+         "--format", "text"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # before the interpreter has started up far enough to write
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_version_flag():

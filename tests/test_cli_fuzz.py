@@ -3,7 +3,8 @@
 Each case calls ``main()`` in-process.  It must exit 0 (stderr holding at
 most ``note:`` lines), or exit 1 with exactly one stderr line starting
 ``error:``, or take argparse's exit 2: the usage text, then one
-``miplan ...: error:`` line.  Warnings are raised as errors, so a warning
+``miplan ...: error:`` line (two-stage without a target gives that line
+alone).  Warnings are raised as errors, so a warning
 that would leak onto stderr fails the case too.
 """
 
@@ -21,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from miplan.cli import main
 
 HEADER = "imputation,estimate,variance\n"
+TWO_STAGE_NO_TARGET = "miplan: error: two-stage needs one of --target-sd, --target-cv, --target-df"
 
 # Bad or extreme tokens for CSV cells and flag values.
 HOSTILE = st.one_of(
@@ -94,7 +96,9 @@ def run(argv: list[str]) -> None:
         assert stderr.getvalue().endswith("\n")
     else:
         assert code == 2, code
-        assert lines[0].startswith("usage: miplan"), lines
+        # argparse's own errors print the usage first; the one usage check
+        # the CLI makes itself, two-stage without a target, does not
+        assert lines[0].startswith("usage: miplan") or lines == [TWO_STAGE_NO_TARGET], lines
         errors = [line for line in lines if re.match(r"miplan( \w+)?: error: ", line)]
         assert errors == [lines[-1]], lines
 
@@ -139,3 +143,61 @@ def test_plan(body, targets, max_m, level):
 def test_table1(gammas, ms, level, fmt):
     run(["table1", f"--gammas={','.join(gammas)}", f"--ms={','.join(ms)}",
          f"--level={level}", "--format", fmt])
+
+
+# Count flags: never a large count, which would only make the run long.
+# Always given --n, --reps and --gammas, since their defaults make long runs;
+# cv-check and df-reliability need 100 replications or more.
+SIM_COUNTS = {
+    "--n": st.integers(5, 60),
+    "--reps": st.integers(95, 130),
+    "--pilot-m": st.integers(1, 8),
+    "--m": st.integers(1, 30),
+    "--max-m": st.integers(1, 200),
+}
+SIM_FLAGS = {
+    "--missing": floats(0.01, 0.95),
+    "--rho": floats(0.0, 0.95),
+    "--level": floats(0.5, 0.999),
+    "--seed": st.integers(0, 2**64 - 1).map(str),
+    "--cv-target": floats(0.02, 0.9),
+    "--df-threshold": floats(0.0, 1e4),
+    **{flag: values.map(str) for flag, values in SIM_COUNTS.items()},
+}
+HOSTILE_COUNT = st.sampled_from(["-1", "0", "x", "1.5", ""])
+
+
+@st.composite
+def simulate_flags(draw) -> dict[str, str]:
+    """Clean values for a random subset of the flags, and in one run of four,
+    one flag set to a hostile token."""
+    required = ("--n", "--reps")
+    flags = draw(st.fixed_dictionaries(
+        {flag: SIM_FLAGS[flag] for flag in required},
+        optional={flag: s for flag, s in SIM_FLAGS.items() if flag not in required},
+    ))
+    flags["--gammas"] = ",".join(draw(st.lists(floats(0.05, 0.95), min_size=1, max_size=2)))
+    if draw(st.integers(0, 3)) == 0:
+        flag = draw(st.sampled_from(sorted(flags.keys() | SIM_FLAGS.keys())))
+        if flag == "--seed":
+            flags[flag] = draw(st.sampled_from(["-1", "x", str(2**64)]))
+        else:
+            flags[flag] = draw(HOSTILE_COUNT if flag in SIM_COUNTS else HOSTILE)
+    return flags
+
+
+@FUZZ
+@given(
+    experiment=st.sampled_from(["two-stage", "cv-check", "curve", "df-reliability"]),
+    flags=simulate_flags(),
+    targets=mostly(st.lists(TARGET, min_size=1, max_size=1), st.lists(TARGET, max_size=2)),
+    simulated=st.booleans(),
+)
+def test_simulate(experiment, flags, targets, simulated):
+    argv = ["simulate", "--experiment", experiment]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    if experiment == "two-stage":
+        argv += [f"{flag}={value}" for flag, value in targets]
+    if experiment == "curve" and simulated:
+        argv.append("--simulated")
+    run(argv)

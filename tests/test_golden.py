@@ -2,11 +2,11 @@
 
 Every case runs one ``miplan`` command and compares each stream and file it
 writes with ``tests/golden/<case>.<suffix>``, byte for byte.  After an
-intended change of output, rewrite the goldens with
+intended change of output, rewrite the goldens of the cases it moves with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 
-and review their diff.
+(no CASE rewrites every case) and review their diff.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -90,10 +91,20 @@ def test_output_matches_golden(name, tmp_path):
     assert run_case(name, tmp_path) == golden(name)
 
 
-def record() -> None:
-    """Rewrite every golden file from the current code."""
+def test_record_rejects_unknown_cases():
+    with pytest.raises(SystemExit, match="unknown golden case: 'no_such_case'"):
+        record(["cv_check", "no_such_case"])
+
+
+def record(names: list[str]) -> None:
+    """Rewrite the golden files of the named cases (all cases when none is
+    named) from the current code; an unknown name rewrites nothing."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden case: {', '.join(map(repr, unknown))}; "
+                 f"known: {', '.join(sorted(CASES))}")
     with tempfile.TemporaryDirectory() as scratch:
-        for name in CASES:
+        for name in names or CASES:
             for path in GOLDEN.glob(f"{name}.*"):
                 path.unlink()
             for suffix, data in run_case(name, Path(scratch)).items():
@@ -101,4 +112,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

@@ -267,3 +267,8 @@ class TestCalibration:
     def test_target_validated(self):
         with pytest.raises(ValueError, match="domain error"):
             calibrate_missing_fraction(1.5, n=400, seed=2)
+
+    @pytest.mark.parametrize("n", [30, 0, -5])
+    def test_too_few_rows_to_calibrate(self, n):
+        with pytest.raises(ValueError, match="too small to calibrate"):
+            calibrate_missing_fraction(0.5, n=n, seed=2)

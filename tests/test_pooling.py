@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from miplan import GAMMA_EPS, ImputationResult, pool, read_results_csv
+from miplan.pooling import pool_arrays
 
 
 def rel_close(a, b, tol=1e-12):
@@ -143,6 +144,20 @@ def test_total_variance_dominates_within(ests, w):
     assert a.v_total >= a.w_bar
     assert a.se == math.sqrt(a.v_total)
     assert abs(a.v_total - (a.w_bar + (1 + 1 / a.m) * a.b)) <= 1e-12 * a.v_total
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)), min_size=2, max_size=30
+    ),
+    level=st.floats(0.5, 0.999),
+)
+@settings(max_examples=200, deadline=None)
+def test_pool_arrays_is_pool_bit_for_bit(rows, level):
+    assume(float(np.mean([w for _, w in rows])) > 0.0)
+    estimates, withins = (np.array(column) for column in zip(*rows))
+    # repr keeps every float's bits, the sign of zero included
+    assert repr(pool_arrays(estimates, withins, level)) == repr(pool(rows, level))
 
 
 def test_accepts_result_objects_and_pairs():
