@@ -173,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--df-curve", action="store_true",
                    help="emit the df-vs-cv tradeoff curve instead of the rule comparison")
     p.add_argument("--cvs", default="", help="comma list of cv values for --df-curve")
+    p.set_defaults(usage_error=p.error)  # for the flag checks argparse cannot make
     return parser
 
 
@@ -276,8 +277,7 @@ def cmd_table1(args) -> int:
 
 def _sim_two_stage(args) -> int:
     if args.target is None:
-        _PARSER.exit(2, "miplan: error: two-stage needs one of "
-                        "--target-sd, --target-cv, --target-df\n")
+        args.usage_error("two-stage needs one of --target-sd, --target-cv, --target-df")
     target = ReplicabilityTarget(*args.target)
     reps = args.reps if args.reps is not None else 100
     config = ExperimentConfig(
@@ -420,7 +420,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # exit, to devnull instead of reporting an error.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # MemoryError: numpy cannot allocate m draws, as for a huge --max-m
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,7 @@ from .planning import (
 from .pooling import PooledAnalysis, pool_arrays
 
 # Spawn-key tags keep the dataset, the replications, the search probes,
-# and the calibration sweeps on disjoint streams of one seed.
+# and calibrate_gamma's datasets on disjoint streams of one seed.
 TAG_DATA = 0
 TAG_REP = 1
 TAG_PROBE = 2
@@ -407,6 +407,8 @@ def df_cv_curve(cvs: Sequence[float]) -> list[tuple[float, float]]:
     return out
 
 
+# The cache never hits, since no caller revisits a cell; it stays because
+# the benchmark's tracer reads calibrate_gamma.cache_info().
 @lru_cache(maxsize=128)
 def calibrate_gamma(
     n: int,
@@ -416,10 +418,11 @@ def calibrate_gamma(
     reps: int = 24,
     seed: int = 0,
 ) -> float:
-    """Mean pooled gamma_hat for a (rho, missing_fraction) cell.
+    """Mean pooled gamma_hat over reps fresh datasets of one
+    (rho, missing_fraction) cell.
 
-    Averages high-m poolings over fresh synthetic datasets; cached per
-    argument set (seed included) since calibration sweeps revisit cells.
+    The Monte Carlo check of calibrate_missing_fraction's closed form: at
+    large n and m it approaches p (1 - rho^2) / (1 - p rho^2).
     """
     values = []
     for r in range(reps):
@@ -429,46 +432,22 @@ def calibrate_gamma(
     return float(np.mean(values))
 
 
-def calibrate_missing_fraction(
-    gamma_target: float,
-    rho: float = 0.0,
-    n: int = 2000,
-    seed: int = 0,
-    m: int = 60,
-    reps: int = 24,
-    tol: float = 0.01,
-    max_iter: int = 24,
-) -> float:
-    """MCAR deletion probability whose mean pooled gamma_hat hits gamma_target.
+def calibrate_missing_fraction(gamma_target: float, rho: float = 0.0) -> float:
+    """MCAR deletion probability p whose large-sample fraction of missing
+    information is gamma_target.
 
-    Bisects on the missing fraction; the mean gamma_hat is monotone
-    increasing in it at fixed rho.
+    For a standard bivariate normal (x, y) with correlation rho, y deleted
+    with probability p and imputed by regression on x, n times the
+    variance of the mean is (1 - rho^2) / (1 - p) + rho^2, against 1 for
+    complete data (Rubin 1987).  So gamma = p (1 - rho^2) / (1 - p rho^2),
+    and p = gamma / (1 - rho^2 + gamma rho^2).
     """
     if not (0.0 < gamma_target < 1.0):
         raise ValueError(f"domain error: gamma_target must be in (0, 1), got {gamma_target!r}")
-    # upper bracket keeps >= ~30 expected complete cases so binomial noise
-    # cannot push a probe dataset below the 4-case floor
-    lo, hi = 0.005, min(0.95, 1.0 - 30.0 / max(n, 1))
-    if hi <= lo:
-        raise ValueError(f"domain error: n={n} too small to calibrate")
-    g_lo = calibrate_gamma(n, rho, lo, m, reps, seed)
-    g_hi = calibrate_gamma(n, rho, hi, m, reps, seed)
-    if not (g_lo <= gamma_target <= g_hi):
-        raise ValueError(
-            f"search exhausted: gamma_target {gamma_target} outside achievable "
-            f"range [{g_lo:.3f}, {g_hi:.3f}] at rho={rho}"
-        )
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        g_mid = calibrate_gamma(n, rho, mid, m, reps, seed)
-        if abs(g_mid - gamma_target) <= tol:
-            return mid
-        if g_mid < gamma_target:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    if not (0.0 <= rho < 1.0):
+        raise ValueError(f"domain error: rho must be in [0, 1), got {rho!r}")
+    rho2 = rho * rho
+    return gamma_target / (1.0 - rho2 + gamma_target * rho2)
 
 
 def simulated_required_m(
@@ -480,12 +459,15 @@ def simulated_required_m(
     rho: float = 0.0,
     m_hi: int | None = None,
 ) -> int:
-    """Empirical required m for a setup calibrated to the given gamma.
+    """Empirical required m at the true fraction of missing information gamma.
 
-    Calibrates the missing fraction to hit gamma, generates one dataset,
-    and searches for the smallest m meeting cv_target on it.
+    Sets the missing fraction from gamma by calibrate_missing_fraction's
+    closed form, draws one dataset on the seed's data stream, and searches
+    for the smallest m meeting cv_target on it (see required_m).  m_hi
+    defaults to three times the quadratic rule's m plus 16, at most
+    DEFAULT_M_MAX.
     """
-    p = calibrate_missing_fraction(gamma, rho=rho, n=n, seed=derive_seed(seed, TAG_CALIBRATE))
+    p = calibrate_missing_fraction(gamma, rho)
     data = gen_incomplete(n, rho, p, stream(seed, TAG_DATA))
     if m_hi is None:
         predicted = m_for_se_cv(gamma, cv_target)

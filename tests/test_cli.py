@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 import miplan
-from miplan import cli
+from miplan import cli, montecarlo
 from miplan.cli import main
 
 from conftest import make_pilot_results
@@ -236,10 +236,37 @@ class TestSimulate:
         result = run_cli(capsys, ["simulate", *argv, "--max-m", "10", "--out", out])
         assert_one_error_line(result, "No such file or directory")
 
-    def test_two_stage_needs_target(self):
+    def test_two_stage_needs_target(self, capsys):
+        # a usage error like argparse's own: the usage line, then the error
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--experiment", "two-stage", "--reps", "4"])
+        lines = capsys.readouterr().err.splitlines()
         assert exc.value.code == 2
+        assert lines[0].startswith("usage: miplan simulate [-h] --experiment")
+        assert lines[-1] == (
+            "miplan simulate: error: two-stage needs one of --target-sd, --target-cv, --target-df"
+        )
+
+    def test_out_of_memory_exits_one(self, capsys, monkeypatch):
+        # The final pooling asks for m = 1e13 draws, which numpy cannot
+        # allocate; the fake raises what numpy would without asking the OS.
+        draw = montecarlo.impute_m
+
+        def impute_m(data, m, rng):
+            if m > 10**6:
+                raise MemoryError(f"Unable to allocate 72.8 TiB for an array with shape ({m},)")
+            return draw(data, m, rng)
+
+        monkeypatch.setattr(montecarlo, "impute_m", impute_m)
+        assert_one_error_line(run_cli(capsys, [
+            "simulate", "--experiment", "two-stage", "--n", "200", "--target-cv", "1e-6",
+            "--max-m", "10000000000000", "--reps", "2",
+        ]), "Unable to allocate")
+
+    def test_curve_simulated_without_rows_exits_one(self, capsys):
+        assert_one_error_line(run_cli(capsys, [
+            "simulate", "--experiment", "curve", "--simulated", "--gammas", "0.5", "--n", "0",
+        ]), "domain error: n must be >= 1")
 
     def test_cv_check_deterministic_bytes(self, tmp_path, capsys):
         argv = [

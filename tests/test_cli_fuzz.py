@@ -3,8 +3,7 @@
 Each case calls ``main()`` in-process.  It must exit 0 (stderr holding at
 most ``note:`` lines), or exit 1 with exactly one stderr line starting
 ``error:``, or take argparse's exit 2: the usage text, then one
-``miplan ...: error:`` line (two-stage without a target gives that line
-alone).  Warnings are raised as errors, so a warning
+``miplan ...: error:`` line.  Warnings are raised as errors, so a warning
 that would leak onto stderr fails the case too.
 """
 
@@ -22,7 +21,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from miplan.cli import main
 
 HEADER = "imputation,estimate,variance\n"
-TWO_STAGE_NO_TARGET = "miplan: error: two-stage needs one of --target-sd, --target-cv, --target-df"
 
 # Bad or extreme tokens for CSV cells and flag values.
 HOSTILE = st.one_of(
@@ -96,9 +94,7 @@ def run(argv: list[str]) -> None:
         assert stderr.getvalue().endswith("\n")
     else:
         assert code == 2, code
-        # argparse's own errors print the usage first; the one usage check
-        # the CLI makes itself, two-stage without a target, does not
-        assert lines[0].startswith("usage: miplan") or lines == [TWO_STAGE_NO_TARGET], lines
+        assert lines[0].startswith("usage: miplan"), lines
         errors = [line for line in lines if re.match(r"miplan( \w+)?: error: ", line)]
         assert errors == [lines[-1]], lines
 

@@ -12,6 +12,7 @@ from miplan import (
     ExperimentConfig,
     ReplicabilityTarget,
     TwoStageRecord,
+    calibrate_gamma,
     calibrate_missing_fraction,
     curve_data,
     derive_seed,
@@ -259,16 +260,43 @@ class TestCurves:
             df_cv_curve([1.5])
 
 
+def gamma_of(p, rho):
+    """Large-sample fraction of missing information at missing fraction p."""
+    return p * (1 - rho * rho) / (1 - p * rho * rho)
+
+
 class TestCalibration:
-    def test_missing_fraction_for_gamma(self):
-        p = calibrate_missing_fraction(0.5, rho=0.0, n=800, seed=2, m=40, reps=12)
-        assert 0.42 <= p <= 0.58
+    def test_exact_values(self):
+        for gamma in (0.01, 0.2, 0.5, 0.99):
+            assert calibrate_missing_fraction(gamma) == gamma
+        assert calibrate_missing_fraction(0.5, rho=0.5) == pytest.approx(0.5 / 0.875, abs=1e-15)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.5, 0.8, 0.99])
+    def test_round_trip(self, rho):
+        for p in (0.001, 0.1, 0.37, 0.5, 0.9, 0.999):
+            assert calibrate_missing_fraction(gamma_of(p, rho), rho) == pytest.approx(p, abs=1e-12)
 
     def test_target_validated(self):
-        with pytest.raises(ValueError, match="domain error"):
-            calibrate_missing_fraction(1.5, n=400, seed=2)
+        for gamma in (1.5, 1.0, 0.0, -0.2, math.nan):
+            with pytest.raises(ValueError, match="domain error: gamma_target"):
+                calibrate_missing_fraction(gamma)
 
-    @pytest.mark.parametrize("n", [30, 0, -5])
-    def test_too_few_rows_to_calibrate(self, n):
-        with pytest.raises(ValueError, match="too small to calibrate"):
-            calibrate_missing_fraction(0.5, n=n, seed=2)
+    def test_rho_validated(self):
+        for rho in (1.0, -0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="domain error: rho"):
+                calibrate_missing_fraction(0.5, rho)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.8])
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
+    def test_monte_carlo_matches_formula(self, rho, gamma):
+        # Tolerance fixed before the first run.  Per dataset, gamma_hat at
+        # m = 200 spreads by about gamma(1-gamma)sqrt(2/(m-1)) <= .025 from
+        # the imputations, and by at most about .025 from the dataset itself
+        # (its missing count and fitted regression), so its SD is below .04
+        # and the mean over R datasets has a Monte Carlo SE of .04/sqrt(R).
+        reps = 400
+        tol = 4 * 0.04 / math.sqrt(reps)
+        p = calibrate_missing_fraction(gamma, rho)
+        assert calibrate_gamma(2000, rho, p, m=200, reps=reps, seed=8) == pytest.approx(
+            gamma, abs=tol
+        )
