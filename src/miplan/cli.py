@@ -326,9 +326,8 @@ def _sim_cv_check(args) -> int:
     pooled = pool_fixed_dataset(args.n, args.rho, args.missing, args.m, reps, args.seed, args.level)
     result = empirical_cv_of(pooled)
     header = ("rep", "estimate", "se", "v_total", "gamma_hat", "df_hat")
-    rows = [
-        (i, p.theta, p.se, p.v_total, p.gamma_hat, p.df_hat) for i, p in enumerate(pooled)
-    ]
+    columns = (pooled.theta, pooled.se, pooled.v_total, pooled.gamma_hat, pooled.df_hat)
+    rows = list(zip(range(reps), *(c.tolist() for c in columns)))
     predicted = result.mean_gamma_hat * math.sqrt(2.0 / (args.m - 1))
     _emit_outputs(args, header, rows, {
         "m": args.m,
@@ -379,11 +378,9 @@ def _sim_df_reliability(args) -> int:
     pooled = pool_fixed_dataset(
         args.n, args.rho, args.missing, args.pilot_m, reps, args.seed, args.level
     )
-    exceeds = [p.df_hat > args.df_threshold for p in pooled]
+    exceeds = (pooled.df_hat > args.df_threshold).tolist()
     header = ("rep", "gamma_hat", "df_hat", "exceeds_threshold")
-    rows = [
-        (i, p.gamma_hat, p.df_hat, flag) for i, (p, flag) in enumerate(zip(pooled, exceeds))
-    ]
+    rows = list(zip(range(reps), pooled.gamma_hat.tolist(), pooled.df_hat.tolist(), exceeds))
     _emit_outputs(args, header, rows, {
         "pilot_m": args.pilot_m,
         "df_threshold": args.df_threshold,

@@ -10,7 +10,9 @@ from the predictive distribution at its x.
 the reference path: they build every completed dataset.
 ``draw_mean_analyses`` draws what ``analyze_mean`` would return for m
 imputations from the same distribution, using sufficient statistics of
-the data and O(1) variates per imputation.
+the data and O(1) variates per imputation: ``draw_mean_variates`` draws
+the variates and ``mean_analyses`` turns them into analyses, for one
+pooling or a block of them.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class IncompleteBivariate:
 
     @cached_property
     def mean_stats(self) -> "MeanStats":
-        """Sufficient statistics of the data for ``draw_mean_analyses``,
+        """Sufficient statistics of the data for ``mean_analyses``,
         computed on first use (the arrays are read-only, so they stay valid)."""
         mask = self.missing_mask
         xo, yo, xm = self.x[~mask], self.y[~mask], self.x[mask]
@@ -218,16 +220,31 @@ def analyze_mean(completed: CompletedDataset) -> ImputationResult:
     return ImputationResult(estimate=estimate, within_variance=within)
 
 
-def draw_mean_analyses(
+class MeanVariates(NamedTuple):
+    """The variates of m imputations that ``mean_analyses`` turns into analyses.
+
+    Per imputation: the chi-square and two normals of ``fit_and_draw``'s
+    posterior draw (chi2, z0, z1), and the three sums of the k fill normals
+    the completed mean and variance depend on (sum_z, sum_dz, sum_z2).
+    Every field has the same shape, (m,) for one pooling.
+    """
+
+    chi2: np.ndarray
+    z0: np.ndarray
+    z1: np.ndarray
+    sum_z: np.ndarray
+    sum_dz: np.ndarray
+    sum_z2: np.ndarray
+
+
+def draw_mean_variates(
     data: IncompleteBivariate,
     m: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates and within variances of m proper imputations, as two arrays.
+) -> MeanVariates:
+    """The variates of m proper imputations; the engine's only use of ``rng``.
 
-    They have the distribution of ``analyze_mean`` applied to each dataset
-    of ``impute_m(data, m, rng)``, and no dataset is built.  Each
-    imputation draws (beta0, beta1, sigma) from one chi-square and two
+    Each imputation draws (beta0, beta1, sigma) from one chi-square and two
     normals, as ``fit_and_draw`` does.  Its k fill normals z enter the
     completed mean and variance only through sum(z), sum(d z) and
     sum(z^2).  Since 1 and d are orthogonal, these are exactly
@@ -235,7 +252,8 @@ def draw_mean_analyses(
     standard normals e0, e1; for k = 1 they are e0, 0 and e0^2.  (When all
     missing x are equal, Sdd = 0 and sum(z^2) = e0^2 + chi2(k - 1), which
     e1^2 + chi2(k - 2) matches in distribution.)  With no missing y every
-    imputation is the observed data.
+    imputation is the observed data, so nothing is drawn and the variates
+    are zeros.
     """
     if m < 2:
         raise ValueError(f"insufficient imputations: need m >= 2, got {m}")
@@ -243,7 +261,7 @@ def draw_mean_analyses(
     if s.sxx <= 0.0:
         raise ValueError("singular design: auxiliary x is constant among complete cases")
     if s.k == 0:
-        return np.full(m, s.y_mean), np.full(m, s.syy / ((s.n - 1) * s.n))
+        return MeanVariates(*np.zeros((6, m)))
     chi2 = rng.chisquare(s.n_obs - 2, m)
     z0, z1, e0, e1 = rng.standard_normal((4, m))
     sum_z2 = e0 * e0
@@ -251,12 +269,21 @@ def draw_mean_analyses(
         sum_z2 += e1 * e1
     if s.k >= 3:
         sum_z2 += rng.chisquare(s.k - 2, m)
-    return _mean_analyses(s, chi2, z0, z1, math.sqrt(s.k) * e0, math.sqrt(s.sdd) * e1, sum_z2)
+    return MeanVariates(chi2, z0, z1, math.sqrt(s.k) * e0, math.sqrt(s.sdd) * e1, sum_z2)
 
 
-def _mean_analyses(s: MeanStats, chi2, z0, z1, sum_z, sum_dz, sum_z2):
+def mean_analyses(s: MeanStats, chi2, z0, z1, sum_z, sum_dz, sum_z2):
     """``analyze_mean`` of completed data in closed form, from the posterior
-    variates of ``fit_and_draw`` and the three sums of the fill normals."""
+    variates of ``fit_and_draw`` and the three sums of the fill normals.
+
+    Elementwise, so it takes the variates of one pooling, shape (m,), or of
+    a block of replications, shape (reps, m), and returns the estimates and
+    within variances in that shape.
+    """
+    n = s.n
+    if s.k == 0:
+        shape = np.shape(chi2)
+        return np.full(shape, s.y_mean), np.full(shape, s.syy / ((n - 1) * n))
     slope = s.sxy / s.sxx
     rss = max(s.syy - slope * s.sxy, 0.0)
     sigma = np.sqrt(rss / chi2)
@@ -268,5 +295,18 @@ def _mean_analyses(s: MeanStats, chi2, z0, z1, sum_z, sum_dz, sum_z2):
     t1 = s.k * a + sigma * sum_z
     t2 = (s.syy + s.k * a * a + beta1 * beta1 * s.sdd + sigma * sigma * sum_z2
           + 2.0 * sigma * (a * sum_z + beta1 * sum_dz))
-    n = s.n
     return s.y_mean + t1 / n, (t2 - t1 * t1 / n) / ((n - 1) * n)
+
+
+def draw_mean_analyses(
+    data: IncompleteBivariate,
+    m: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates and within variances of m proper imputations, as two arrays.
+
+    They have the distribution of ``analyze_mean`` applied to each dataset
+    of ``impute_m(data, m, rng)``, and no dataset is built: the variates of
+    ``draw_mean_variates`` through the closed form ``mean_analyses``.
+    """
+    return mean_analyses(data.mean_stats, *draw_mean_variates(data, m, rng))

@@ -9,13 +9,13 @@ keys, so a replication's result depends only on the seed and its index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .imputer import IncompleteBivariate, draw_mean_analyses
+from .imputer import IncompleteBivariate, draw_mean_variates, mean_analyses
 from .planning import (
     DEFAULT_M_MAX,
     Recommendation,
@@ -25,7 +25,7 @@ from .planning import (
     m_for_se_cv,
     recommend,
 )
-from .pooling import PooledAnalysis, pool_arrays
+from .pooling import PooledAnalysis, PooledReplicates, check_level, pool_arrays, pool_rows
 
 # Spawn-key tags keep the dataset, the replications, the search probes,
 # and calibrate_gamma's datasets on disjoint streams of one seed.
@@ -35,18 +35,29 @@ TAG_PROBE = 2
 TAG_CONFIRM = 3
 TAG_CALIBRATE = 4
 
-# Every simulated pooling draws its m analyses through this name, once per
-# pooling; the benchmark counts imputations by wrapping it.
-impute_m = draw_mean_analyses
+# Every simulated pooling draws the variates of its m imputations through
+# this name, once per pooling; the benchmark counts imputations by wrapping it.
+impute_m = draw_mean_variates
+
+# pool_replicates pools whole replications in blocks of about this many
+# imputations, so its variates take a few MB whatever reps and m are.
+BLOCK_IMPUTATIONS = 2**16
+
+
+def _check_seed(seed: int) -> None:
+    if not (0 <= seed < 2**64):
+        raise ValueError(f"domain error: seed must be an unsigned 64-bit integer, got {seed}")
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic substream for (seed, *key), independent across keys."""
+    _check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def derive_seed(seed: int, *key: int) -> int:
     """A 64-bit child seed for a nested experiment stage."""
+    _check_seed(seed)
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
@@ -87,10 +98,8 @@ class ExperimentConfig:
             raise ValueError(f"insufficient imputations: pilot_m must be >= 2, got {self.pilot_m}")
         if self.reps < 1:
             raise ValueError(f"domain error: reps must be >= 1, got {self.reps}")
-        if not (0.0 < self.level < 1.0):
-            raise ValueError(f"domain error: level must be in (0, 1), got {self.level!r}")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError(f"domain error: seed must be an unsigned 64-bit integer, got {self.seed}")
+        check_level(self.level)
+        _check_seed(self.seed)
 
 
 def gen_incomplete(
@@ -120,7 +129,7 @@ def _pool_once(
     rng: np.random.Generator,
     level: float,
 ) -> PooledAnalysis:
-    return pool_arrays(*impute_m(data, m, rng), level)
+    return pool_arrays(*mean_analyses(data.mean_stats, *impute_m(data, m, rng)), level)
 
 
 @dataclass(frozen=True)
@@ -232,11 +241,31 @@ def pool_replicates(
     reps: int,
     seed: int,
     level: float = 0.95,
-) -> list[PooledAnalysis]:
-    """Re-impute a fixed dataset reps times, pooling m imputations each time."""
+) -> PooledReplicates:
+    """Re-impute a fixed dataset reps times, pooling m imputations each time.
+
+    Returns the reps poolings by column, entry r for replication r, each
+    field as ``_pool_once`` on stream(seed, TAG_REP, r) would give it.
+    Replication r draws its variates on that stream, through one
+    ``impute_m`` call; whole replications, about BLOCK_IMPUTATIONS
+    imputations at a time, then go through one closed-form call and one
+    ``pool_rows`` call.  level is checked, but no interval is computed.
+    """
     if reps < 1:
         raise ValueError(f"domain error: reps must be >= 1, got {reps}")
-    return [_pool_once(data, m, stream(seed, TAG_REP, r), level) for r in range(reps)]
+    check_level(level)
+    s = data.mean_stats
+    per_block = max(1, BLOCK_IMPUTATIONS // max(m, 2))  # the draw rejects m < 2
+    blocks = []
+    for start in range(0, reps, per_block):
+        variates = [impute_m(data, m, stream(seed, TAG_REP, r))
+                    for r in range(start, min(start + per_block, reps))]
+        blocks.append(pool_rows(*mean_analyses(s, *np.stack(variates, axis=1))))
+    if len(blocks) == 1:
+        return blocks[0]
+    columns = {f.name: np.concatenate([getattr(b, f.name) for b in blocks])
+               for f in fields(PooledReplicates) if f.name != "m"}
+    return PooledReplicates(m=m, **columns)
 
 
 def _check_measurement_reps(reps: int) -> None:
@@ -247,9 +276,10 @@ def _check_measurement_reps(reps: int) -> None:
 
 def pool_fixed_dataset(
     n: int, rho: float, missing_fraction: float, m: int, reps: int, seed: int, level: float = 0.95
-) -> list[PooledAnalysis]:
+) -> PooledReplicates:
     """Draw one dataset on the seed's data stream, then pool m fresh
-    imputations of it in each of reps (at least 100) replications."""
+    imputations of it in each of reps (at least 100) replications; the
+    poolings come by column, as from ``pool_replicates``."""
     _check_measurement_reps(reps)
     data = gen_incomplete(n, rho, missing_fraction, stream(seed, TAG_DATA))
     return pool_replicates(data, m, reps, seed, level)
@@ -266,19 +296,19 @@ class EmpiricalCv:
     reps: int
 
 
-def empirical_cv_of(pooled: Sequence[PooledAnalysis]) -> EmpiricalCv:
-    """Coefficients of variation of v_total and se across pooled replicates."""
-    if len(pooled) < 2:
-        raise ValueError(f"insufficient replications: need at least 2, got {len(pooled)}")
-    v = np.array([p.v_total for p in pooled])
-    se = np.array([p.se for p in pooled])
-    gammas = np.array([p.gamma_hat for p in pooled])
+def empirical_cv_of(pooled: PooledReplicates) -> EmpiricalCv:
+    """Coefficients of variation of the v_total and se columns of pooled
+    replicates (as ``pool_replicates`` returns them)."""
+    reps = len(pooled.se)
+    if reps < 2:
+        raise ValueError(f"insufficient replications: need at least 2, got {reps}")
+    v, se = pooled.v_total, pooled.se
     return EmpiricalCv(
         cv_v=float(np.std(v, ddof=1) / np.mean(v)),
         cv_se=float(np.std(se, ddof=1) / np.mean(se)),
-        mean_gamma_hat=float(np.mean(gammas)),
-        m=int(pooled[0].m),
-        reps=len(pooled),
+        mean_gamma_hat=float(np.mean(pooled.gamma_hat)),
+        m=pooled.m,
+        reps=reps,
     )
 
 
@@ -358,7 +388,7 @@ def df_reliability(
         config.n, config.rho, config.missing_fraction, config.pilot_m,
         config.reps if reps is None else reps, config.seed, config.level,
     )
-    return float(np.mean([p.df_hat > df_threshold for p in pooled]))
+    return float(np.mean(pooled.df_hat > df_threshold))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fmi import GammaInterval, clamp_gamma, gamma_ci
+from .fmi import GAMMA_EPS, GammaInterval, gamma_ci
 from .quantiles import t_quantile
 
 RESULTS_CSV_HEADER = ("imputation", "estimate", "variance")
@@ -93,52 +93,100 @@ def pool(
     )
 
 
-def pool_arrays(estimates: np.ndarray, withins: np.ndarray, level: float = 0.95) -> PooledAnalysis:
-    """Rubin's rules over the m estimates and within variances of one pooling.
+@dataclass(frozen=True, eq=False)
+class PooledReplicates:
+    """Rubin's rules over many poolings of m imputations each, by column.
+
+    Entry i of every array is pooling i's field of PooledAnalysis; the
+    intervals, which no measurement uses, are left out.  ``pool_rows`` of
+    one 1-d pooling gives numpy scalars instead of arrays.
+    """
+
+    m: int
+    theta: np.ndarray
+    w_bar: np.ndarray
+    b: np.ndarray
+    v_total: np.ndarray
+    se: np.ndarray
+    gamma_hat: np.ndarray
+    gamma_raw: np.ndarray
+    df_hat: np.ndarray
+
+
+def check_level(level: float) -> None:
+    if not (0.0 < level < 1.0):
+        raise ValueError(f"domain error: level must be in (0, 1), got {level!r}")
+
+
+def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
+    """Rubin's rules along the last axis: one pooling per row of m imputations.
 
     The callers vouch for the entries (finite estimates, finite variances
     >= 0): ``pool`` checks them, and the Monte Carlo engine draws them.
-    An overflowing or non-positive pooled variance is still rejected.
+    An overflowing or non-positive pooled variance is still rejected; among
+    many rows, the first bad row raises what pooling it alone would.
     """
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"domain error: level must be in (0, 1), got {level!r}")
-    m = len(estimates)
+    m = estimates.shape[-1]
     if m < 2:
         raise ValueError(f"insufficient imputations: need at least 2, got {m}")
 
     # Canonical ordering makes the result bit-identical under permutation
-    # of the inputs.
-    order = np.lexsort((withins, estimates))
-    estimates = estimates[order]
-    withins = withins[order]
+    # of the inputs.  (Plain indexing is the same for one row, and cheaper.)
+    order = np.lexsort((withins, estimates), axis=-1)
+    if order.ndim == 1:
+        estimates, withins = estimates[order], withins[order]
+    else:
+        estimates = np.take_along_axis(estimates, order, axis=-1)
+        withins = np.take_along_axis(withins, order, axis=-1)
 
+    # np.mean and np.var(ddof=1) as numpy computes them, sharing one sum.
     # Finite inputs near the float64 limit can overflow; that is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = float(np.mean(estimates))
-        b = float(np.var(estimates, ddof=1))
-        w_bar = float(np.mean(withins))
-    v_total = w_bar + (1.0 + 1.0 / m) * b
-    if not (math.isfinite(theta) and math.isfinite(v_total)):
-        raise ValueError("invalid input: pooled estimate or variance overflows float64")
-    if not v_total > 0.0:
+        theta = np.add.reduce(estimates, axis=-1) / m
+        dev = estimates - theta[..., None]
+        b = np.add.reduce(dev * dev, axis=-1) / (m - 1)
+        w_bar = np.add.reduce(withins, axis=-1) / m
+        v_total = w_bar + (1.0 + 1.0 / m) * b
+    usable = np.isfinite(theta) & np.isfinite(v_total) & (v_total > 0.0)
+    if not usable.all():
+        i = np.argmin(usable, axis=None)
+        if not (math.isfinite(np.ravel(theta)[i]) and math.isfinite(np.ravel(v_total)[i])):
+            raise ValueError("invalid input: pooled estimate or variance overflows float64")
         raise ValueError("invalid input: pooled variance must be positive")
-    se = math.sqrt(v_total)
 
     gamma_raw = (1.0 + 1.0 / m) * b / v_total
-    gamma_hat = clamp_gamma(gamma_raw)
-    df_hat = (m - 1) / (gamma_hat * gamma_hat)
-
-    interval = gamma_ci(gamma_hat, m, level)
-    half = t_quantile(0.5 * (1.0 + level), df_hat) * se
-    return PooledAnalysis(
+    # clamp_gamma's clamp; with withins >= 0, gamma_raw is already in [0, 1]
+    gamma_hat = np.minimum(np.maximum(gamma_raw, GAMMA_EPS), 1.0 - GAMMA_EPS)
+    return PooledReplicates(
         m=m,
         theta=theta,
         w_bar=w_bar,
         b=b,
         v_total=v_total,
-        se=se,
+        se=np.sqrt(v_total),
         gamma_hat=gamma_hat,
         gamma_raw=gamma_raw,
+        df_hat=(m - 1) / (gamma_hat * gamma_hat),
+    )
+
+
+def pool_arrays(estimates: np.ndarray, withins: np.ndarray, level: float = 0.95) -> PooledAnalysis:
+    """Rubin's rules over the m estimates and within variances of one
+    pooling, with its gamma and theta intervals (``pool_rows`` for one row)."""
+    check_level(level)
+    r = pool_rows(estimates, withins)
+    theta, se, gamma_hat, df_hat = float(r.theta), float(r.se), float(r.gamma_hat), float(r.df_hat)
+    interval = gamma_ci(gamma_hat, r.m, level)
+    half = t_quantile(0.5 * (1.0 + level), df_hat) * se
+    return PooledAnalysis(
+        m=r.m,
+        theta=theta,
+        w_bar=float(r.w_bar),
+        b=float(r.b),
+        v_total=float(r.v_total),
+        se=se,
+        gamma_hat=gamma_hat,
+        gamma_raw=float(r.gamma_raw),
         df_hat=df_hat,
         gamma_interval=interval,
         theta_interval=(theta - half, theta + half),

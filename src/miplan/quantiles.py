@@ -15,8 +15,7 @@ def normal_cdf(x: float) -> float:
 
 def t_cdf(x: float, df: float) -> float:
     """CDF of a Student-t variate with ``df`` degrees of freedom; accepts non-integer df."""
-    if df <= 0:
-        raise ValueError("invalid quantile request: df must be > 0")
+    _check_df(df)
     return float(stdtr(df, x))
 
 
@@ -25,15 +24,19 @@ def _check_p(p: float) -> None:
         raise ValueError(f"invalid quantile request: p must be in (0, 1), got {p!r}")
 
 
+def _check_df(df: float) -> None:
+    if not df > 0:
+        raise ValueError(f"invalid quantile request: df must be > 0, got {df!r}")
+
+
 def t_quantile(p: float, df: float) -> float:
     """Quantile of the t distribution with ``df`` degrees of freedom.
 
     Returns x with t_cdf(x, df) = p.  Raises ValueError for p outside
-    (0, 1) or df <= 0.
+    (0, 1) or df not > 0 (NaN included).
     """
     _check_p(p)
-    if not df > 0:
-        raise ValueError(f"invalid quantile request: df must be > 0, got {df!r}")
+    _check_df(df)
     return float(stdtrit(df, p))
 
 

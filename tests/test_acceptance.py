@@ -147,7 +147,7 @@ def test_criterion_06_two_stage_conservatism():
         seed_k = mp.derive_seed(base_seed, k)
         data = mp.gen_incomplete(2000, 0.0, 0.35, mp.stream(seed_k, TAG_DATA))
         # SD goal equivalent to a CV of .05, anchored on a high-M reference SE
-        reference_se = mp.pool_replicates(data, 100, 1, mp.derive_seed(seed_k, 99))[0].se
+        reference_se = mp.pool_replicates(data, 100, 1, mp.derive_seed(seed_k, 99)).se[0]
         target = mp.ReplicabilityTarget("sd_of_se", 0.05 * reference_se)
         config = mp.ExperimentConfig(
             n=2000, rho=0.0, missing_fraction=0.35, pilot_m=5,

@@ -193,7 +193,31 @@ class TestTable1:
         assert len(rows) == 20
 
 
+# Every simulate experiment that draws from a seed, with a small workload.
+SEEDED_EXPERIMENTS = {
+    "cv-check": ["--experiment", "cv-check", "--n", "300", "--reps", "100"],
+    "df-reliability": ["--experiment", "df-reliability", "--n", "300", "--reps", "100"],
+    "curve-simulated": ["--experiment", "curve", "--simulated", "--gammas", "0.5", "--n", "300",
+                        "--reps", "100"],
+}
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("experiment", sorted(SEEDED_EXPERIMENTS))
+    def test_seed_outside_64_bits_exits_one(self, capsys, experiment, seed):
+        assert_one_error_line(
+            run_cli(capsys, ["simulate", *SEEDED_EXPERIMENTS[experiment], "--seed", seed]),
+            f"domain error: seed must be an unsigned 64-bit integer, got {seed}",
+        )
+
+    @pytest.mark.parametrize("experiment", ["cv-check", "df-reliability"])
+    def test_level_outside_unit_interval_exits_one(self, capsys, experiment):
+        assert_one_error_line(
+            run_cli(capsys, ["simulate", *SEEDED_EXPERIMENTS[experiment], "--level", "1.5"]),
+            "domain error: level must be in (0, 1), got 1.5",
+        )
+
     def test_two_stage_records_and_summary(self, tmp_path, capsys):
         base = tmp_path / "ts"
         code, out, _ = run_cli(capsys, [

@@ -1,7 +1,9 @@
 """The sufficient-statistic engine behind every simulated pooling.
 
-``imputer.draw_mean_analyses`` (bound as ``montecarlo.impute_m``) draws the
-(estimate, within variance) pairs of m imputations without building them.
+``imputer.draw_mean_analyses`` draws the (estimate, within variance) pairs
+of m imputations without building them: ``draw_mean_variates`` (bound as
+``montecarlo.impute_m``) draws their variates, and ``mean_analyses`` turns
+them into analyses.
 These tests hold it to the reference path, ``impute_m`` + ``analyze_mean``:
 its closed form exactly, its variates in distribution, and its call pattern.
 """
@@ -28,7 +30,7 @@ from miplan import (
     stream,
 )
 from miplan import montecarlo
-from miplan.imputer import _mean_analyses, draw_mean_analyses
+from miplan.imputer import draw_mean_analyses, draw_mean_variates, mean_analyses
 from miplan.montecarlo import TAG_DATA, TAG_REP
 
 
@@ -74,7 +76,7 @@ def test_closed_form_matches_the_completed_data(name):
         chi2 = rng.chisquare(s.n_obs - 2)
         z0, z1 = rng.standard_normal(2)
         z = rng.standard_normal(s.k)
-        estimate, within = _mean_analyses(
+        estimate, within = mean_analyses(
             s, *(np.array([v]) for v in (chi2, z0, z1, z.sum(), d @ z, z @ z))
         )
         assert estimate[0] == pytest.approx(reference.estimate, rel=1e-12)
@@ -139,7 +141,7 @@ def test_engine_matches_reference_in_distribution(name, m, reps):
     engine = pool_replicates(data, m, reps, seed=101)
     reference = reference_replicates(data, m, reps, seed=202)
     for field in ("se", "gamma_hat", "theta"):
-        a = np.array([getattr(p, field) for p in engine])
+        a = getattr(engine, field)
         b = np.array([getattr(p, field) for p in reference])
         p_value = stats.ks_2samp(a, b).pvalue
         assert p_value > ALPHA, f"{field}: KS p = {p_value:.2g}"
@@ -153,7 +155,7 @@ def test_engine_called_once_per_pooling_with_its_m(monkeypatch):
 
     def counting(data, m, rng):
         calls.append((m, rng))
-        return draw_mean_analyses(data, m, rng)
+        return draw_mean_variates(data, m, rng)
 
     monkeypatch.setattr(montecarlo, "impute_m", counting)
     config = ExperimentConfig(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from miplan import (
     stream,
     summarize_two_stage,
 )
-from miplan.montecarlo import TAG_DATA
+from miplan.montecarlo import BLOCK_IMPUTATIONS, TAG_DATA, TAG_REP, _pool_once
+from miplan.pooling import PooledReplicates
 
 from conftest import make_pilot_results
 
@@ -59,6 +61,14 @@ class TestStreams:
         b = stream(7, 1, 1).random(4)
         assert not np.array_equal(a, b)
         assert derive_seed(7, 0) != derive_seed(7, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        message = f"domain error: seed must be an unsigned 64-bit integer, got {seed}"
+        for make in (stream, derive_seed):
+            with pytest.raises(ValueError) as exc:
+                make(seed, 1)
+            assert str(exc.value) == message
 
 
 class TestGenIncomplete:
@@ -208,6 +218,31 @@ class TestRequiredM:
             required_m(d, 0.05, m_lo=8, m_hi=8, seed=14)
 
 
+class TestPoolReplicates:
+    def test_blocks_match_per_replication_poolings(self):
+        """Replications pooled a block at a time give, field for field, the
+        poolings of each replication on its own stream."""
+        data = gen_incomplete(300, 0.3, 0.4, stream(21, TAG_DATA))
+        m, reps, seed = 1000, 150, 22
+        per_block = BLOCK_IMPUTATIONS // m
+        assert reps * m > BLOCK_IMPUTATIONS and reps % per_block != 0
+        pooled = pool_replicates(data, m, reps, seed, level=0.9)
+        assert pooled.m == m
+        for r in range(reps):
+            single = _pool_once(data, m, stream(seed, TAG_REP, r), 0.9)
+            for f in fields(PooledReplicates):
+                if f.name != "m":
+                    value = getattr(pooled, f.name)[r].item()
+                    assert repr(value) == repr(getattr(single, f.name)), (r, f.name)
+
+    def test_level_checked_though_no_interval_is_computed(self):
+        data = gen_incomplete(300, 0.0, 0.5, stream(3, TAG_DATA))
+        for level in (0.0, 1.5):
+            with pytest.raises(ValueError) as exc:
+                pool_replicates(data, 5, 10, seed=3, level=level)
+            assert str(exc.value) == f"domain error: level must be in (0, 1), got {level!r}"
+
+
 class TestDfReliability:
     def test_threshold_zero_is_certain(self):
         config = small_config(n=500, reps=100)
@@ -225,7 +260,10 @@ class TestDfReliability:
     def test_fixed_dataset_comes_from_the_data_stream(self):
         data = gen_incomplete(300, 0.0, 0.5, stream(3, TAG_DATA))
         pooled = pool_fixed_dataset(300, 0.0, 0.5, 5, 100, seed=3)
-        assert pooled == pool_replicates(data, 5, 100, seed=3)
+        expected = pool_replicates(data, 5, 100, seed=3)
+        assert pooled.m == expected.m
+        for f in fields(PooledReplicates):
+            assert np.array_equal(getattr(pooled, f.name), getattr(expected, f.name)), f.name
         with pytest.raises(ValueError, match="insufficient replications"):
             pool_fixed_dataset(300, 0.0, 0.5, 5, 99, seed=3)
 

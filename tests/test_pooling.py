@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from miplan import GAMMA_EPS, ImputationResult, pool, read_results_csv
-from miplan.pooling import pool_arrays
+from miplan.pooling import pool_arrays, pool_rows
 
 
 def rel_close(a, b, tol=1e-12):
@@ -158,6 +159,56 @@ def test_pool_arrays_is_pool_bit_for_bit(rows, level):
     estimates, withins = (np.array(column) for column in zip(*rows))
     # repr keeps every float's bits, the sign of zero included
     assert repr(pool_arrays(estimates, withins, level)) == repr(pool(rows, level))
+
+
+KERNEL_FIELDS = ("theta", "w_bar", "b", "v_total", "se", "gamma_hat", "gamma_raw", "df_hat")
+
+# What pooling a row alone raises, for each way a row can be made bad.
+BAD_ROW_ERRORS = {
+    "overflow": "invalid input: pooled estimate or variance overflows float64",
+    "zero variance": "invalid input: pooled variance must be positive",
+}
+
+
+@given(
+    data=st.data(),
+    reps=st.integers(1, 5),
+    m=st.integers(2, 12),
+    bad=st.lists(st.sampled_from(sorted(BAD_ROW_ERRORS)), max_size=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_pool_rows_is_pool_arrays_row_by_row(data, reps, m, bad):
+    estimates = data.draw(arrays(np.float64, (reps, m), elements=st.floats(-1e6, 1e6)))
+    withins = data.draw(arrays(np.float64, (reps, m), elements=st.floats(1e-6, 1e6)))
+    bad_rows = {}
+    for kind in bad:
+        i = data.draw(st.integers(0, reps - 1))
+        bad_rows[i] = kind
+        estimates[i], withins[i] = 0.0, 0.0
+        if kind == "overflow":
+            estimates[i, :2] = 1.7e308
+    for i, kind in bad_rows.items():
+        with pytest.raises(ValueError) as exc:
+            pool_arrays(estimates[i], withins[i])
+        assert str(exc.value) == BAD_ROW_ERRORS[kind]
+    if bad_rows:
+        # the first bad row raises what pooling it alone raises
+        with pytest.raises(ValueError) as exc:
+            pool_rows(estimates, withins)
+        assert str(exc.value) == BAD_ROW_ERRORS[bad_rows[min(bad_rows)]]
+        return
+    rows = [pool_arrays(e, w) for e, w in zip(estimates, withins)]
+    pooled = pool_rows(estimates, withins)
+    assert pooled.m == m
+    for r, row in enumerate(rows):
+        for field in KERNEL_FIELDS:
+            # repr keeps every float's bits, the sign of zero included
+            assert repr(getattr(pooled, field)[r].item()) == repr(getattr(row, field)), field
+        # the sums are numpy's own mean and var(ddof=1) of the canonical order
+        order = np.lexsort((withins[r], estimates[r]))
+        assert repr(row.theta) == repr(float(np.mean(estimates[r][order])))
+        assert repr(row.b) == repr(float(np.var(estimates[r][order], ddof=1)))
+        assert repr(row.w_bar) == repr(float(np.mean(withins[r][order])))
 
 
 def test_accepts_result_objects_and_pairs():

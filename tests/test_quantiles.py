@@ -67,6 +67,13 @@ def test_domain_errors(p, df):
         t_quantile(p, df)
 
 
+@pytest.mark.parametrize("df", [0.0, -3.0, math.nan])
+def test_cdf_domain_errors(df):
+    with pytest.raises(ValueError) as exc:
+        t_cdf(0.5, df)
+    assert str(exc.value) == f"invalid quantile request: df must be > 0, got {df!r}"
+
+
 def test_normal_quantile_domain_errors():
     for p in (0.0, 1.0, math.nan):
         with pytest.raises(ValueError, match="invalid quantile request"):
