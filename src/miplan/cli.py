@@ -20,7 +20,7 @@ from dataclasses import asdict
 from typing import Sequence
 
 from . import __version__
-from .fmi import round_half_away, table1
+from .fmi import check_level, round_half_away, table1
 from .montecarlo import (
     ExperimentConfig,
     curve_data,
@@ -240,7 +240,7 @@ def cmd_pool(args) -> int:
 
 def cmd_plan(args) -> int:
     pilot = pool(read_results_csv(args.pilot), args.level)
-    rec = recommend(pilot, ReplicabilityTarget(*args.target), args.level, args.max_m)
+    rec = recommend(pilot, ReplicabilityTarget(*args.target), args.max_m)
     _note_cap(rec.capped, args.max_m)
     _print_payload({
         "m_required": rec.m_required,
@@ -323,7 +323,7 @@ def _sim_two_stage(args) -> int:
 
 def _sim_cv_check(args) -> int:
     reps = args.reps if args.reps is not None else 2000
-    pooled = pool_fixed_dataset(args.n, args.rho, args.missing, args.m, reps, args.seed, args.level)
+    pooled = pool_fixed_dataset(args.n, args.rho, args.missing, args.m, reps, args.seed)
     result = empirical_cv_of(pooled)
     header = ("rep", "estimate", "se", "v_total", "gamma_hat", "df_hat")
     columns = (pooled.theta, pooled.se, pooled.v_total, pooled.gamma_hat, pooled.df_hat)
@@ -375,9 +375,7 @@ def _sim_curve(args) -> int:
 
 def _sim_df_reliability(args) -> int:
     reps = args.reps if args.reps is not None else 1000
-    pooled = pool_fixed_dataset(
-        args.n, args.rho, args.missing, args.pilot_m, reps, args.seed, args.level
-    )
+    pooled = pool_fixed_dataset(args.n, args.rho, args.missing, args.pilot_m, reps, args.seed)
     exceeds = (pooled.df_hat > args.df_threshold).tolist()
     header = ("rep", "gamma_hat", "df_hat", "exceeds_threshold")
     rows = list(zip(range(reps), pooled.gamma_hat.tolist(), pooled.df_hat.tolist(), exceeds))
@@ -409,6 +407,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     handler = COMMANDS[args.experiment if args.command == "simulate" else args.command]
     try:
+        if args.command == "simulate":
+            check_level(args.level)  # every experiment checks it; only two-stage uses it
         code = handler(args)
         sys.stdout.flush()  # a reader that closed stdout shows up here, not at exit
         return code

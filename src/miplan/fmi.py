@@ -46,6 +46,11 @@ def clamp_gamma(gamma: float) -> float:
     return min(max(gamma, GAMMA_EPS), 1.0 - GAMMA_EPS)
 
 
+def check_level(level: float) -> None:
+    if not (0.0 < level < 1.0):
+        raise ValueError(f"domain error: level must be in (0, 1), got {level!r}")
+
+
 @dataclass(frozen=True)
 class GammaInterval:
     """Confidence interval for the fraction of missing information."""
@@ -66,8 +71,7 @@ def gamma_ci(gamma_hat: float, m: int, level: float = 0.95) -> GammaInterval:
     """
     if m < 2:
         raise ValueError(f"insufficient imputations: need m >= 2, got {m}")
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"domain error: level must be in (0, 1), got {level!r}")
+    check_level(level)
     point = clamp_gamma(gamma_hat)
     z = normal_quantile(0.5 * (1.0 + level))
     half = z * math.sqrt(2.0 / m)

@@ -7,12 +7,12 @@ reflects parameter uncertainty), then fills each missing y with a draw
 from the predictive distribution at its x.
 
 ``fit_and_draw``, ``impute_once``, ``impute_m`` and ``analyze_mean`` are
-the reference path: they build every completed dataset.
-``draw_mean_analyses`` draws what ``analyze_mean`` would return for m
-imputations from the same distribution, using sufficient statistics of
-the data and O(1) variates per imputation: ``draw_mean_variates`` draws
-the variates and ``mean_analyses`` turns them into analyses, for one
-pooling or a block of them.
+the reference path: they build every completed dataset.  The engine
+draws what ``analyze_mean`` would return for m imputations from the same
+distribution, using sufficient statistics of the data and O(1) variates
+per imputation: ``draw_mean_variates`` draws the variates and
+``mean_analyses`` turns them into analyses, for one pooling or a block
+of them.
 """
 
 from __future__ import annotations
@@ -296,17 +296,3 @@ def mean_analyses(s: MeanStats, chi2, z0, z1, sum_z, sum_dz, sum_z2):
     t2 = (s.syy + s.k * a * a + beta1 * beta1 * s.sdd + sigma * sigma * sum_z2
           + 2.0 * sigma * (a * sum_z + beta1 * sum_dz))
     return s.y_mean + t1 / n, (t2 - t1 * t1 / n) / ((n - 1) * n)
-
-
-def draw_mean_analyses(
-    data: IncompleteBivariate,
-    m: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates and within variances of m proper imputations, as two arrays.
-
-    They have the distribution of ``analyze_mean`` applied to each dataset
-    of ``impute_m(data, m, rng)``, and no dataset is built: the variates of
-    ``draw_mean_variates`` through the closed form ``mean_analyses``.
-    """
-    return mean_analyses(data.mean_stats, *draw_mean_variates(data, m, rng))

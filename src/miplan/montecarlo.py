@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .fmi import check_level
 from .imputer import IncompleteBivariate, draw_mean_variates, mean_analyses
 from .planning import (
     DEFAULT_M_MAX,
@@ -22,10 +23,11 @@ from .planning import (
     ReplicabilityTarget,
     _capped_count,
     _se_cv_rule,
+    cv_df_convert,
     m_for_se_cv,
     recommend,
 )
-from .pooling import PooledAnalysis, PooledReplicates, check_level, pool_arrays, pool_rows
+from .pooling import PooledAnalysis, PooledReplicates, pool_arrays, pool_rows
 
 # Spawn-key tags keep the dataset, the replications, the search probes,
 # and calibrate_gamma's datasets on disjoint streams of one seed.
@@ -61,6 +63,20 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
+def _check_rho(rho: float) -> None:
+    if not (0.0 <= rho < 1.0):
+        raise ValueError(f"domain error: rho must be in [0, 1), got {rho!r}")
+
+
+def _check_setup(n: int, rho: float, missing_fraction: float) -> None:
+    """The checks of a synthetic dataset's size, correlation and missing fraction."""
+    if n < 1:
+        raise ValueError(f"domain error: n must be >= 1, got {n}")
+    _check_rho(rho)
+    if not (0.0 < missing_fraction < 1.0):
+        raise ValueError(f"domain error: missing_fraction must be in (0, 1), got {missing_fraction!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Setup for one synthetic experiment.
@@ -84,14 +100,7 @@ class ExperimentConfig:
     m_max: int = DEFAULT_M_MAX
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"domain error: n must be >= 1, got {self.n}")
-        if not (0.0 <= self.rho < 1.0):
-            raise ValueError(f"domain error: rho must be in [0, 1), got {self.rho!r}")
-        if not (0.0 < self.missing_fraction < 1.0):
-            raise ValueError(
-                f"domain error: missing_fraction must be in (0, 1), got {self.missing_fraction!r}"
-            )
+        _check_setup(self.n, self.rho, self.missing_fraction)
         if self.n * (1.0 - self.missing_fraction) < 4:
             raise ValueError("domain error: expected complete cases below 4")
         if self.pilot_m < 2:
@@ -110,12 +119,7 @@ def gen_incomplete(
 ) -> IncompleteBivariate:
     """Standard bivariate normal (x, y) with correlation rho; each y is
     deleted independently with probability missing_fraction (MCAR)."""
-    if n < 1:
-        raise ValueError(f"domain error: n must be >= 1, got {n}")
-    if not (0.0 <= rho < 1.0):
-        raise ValueError(f"domain error: rho must be in [0, 1), got {rho!r}")
-    if not (0.0 < missing_fraction < 1.0):
-        raise ValueError(f"domain error: missing_fraction must be in (0, 1), got {missing_fraction!r}")
+    _check_setup(n, rho, missing_fraction)
     z = rng.standard_normal((2, n))
     x = z[0]
     y = rho * x + math.sqrt(1.0 - rho * rho) * z[1]
@@ -145,21 +149,18 @@ class TwoStageRecord:
 def run_two_stage(
     config: ExperimentConfig,
     rng: np.random.Generator,
-    data: IncompleteBivariate | None = None,
+    data: IncompleteBivariate,
     rep_index: int = 0,
 ) -> TwoStageRecord:
-    """Run the two-stage procedure once.
+    """Run the two-stage procedure once on data, drawing from rng.
 
-    Stage 1 pools pilot_m imputations and converts the pilot into a
-    recommendation.  If the pilot already used enough imputations the
-    pilot pooling doubles as the final answer; otherwise stage 2
-    re-imputes with m_required fresh imputations.  When ``data`` is None
-    a dataset is generated from ``rng`` first.
+    Stage 1 pools pilot_m imputations at config.level and converts the
+    pilot into a recommendation.  If the pilot already used enough
+    imputations the pilot pooling doubles as the final answer; otherwise
+    stage 2 re-imputes with m_required fresh imputations.
     """
-    if data is None:
-        data = gen_incomplete(config.n, config.rho, config.missing_fraction, rng)
     pilot = _pool_once(data, config.pilot_m, rng, config.level)
-    rec = recommend(pilot, config.target, config.level, config.m_max)
+    rec = recommend(pilot, config.target, config.m_max)
     if rec.pilot_sufficient:
         final = pilot
     else:
@@ -182,7 +183,7 @@ def run_two_stage_experiment(
             config.n, config.rho, config.missing_fraction, stream(config.seed, TAG_DATA)
         )
     return [
-        run_two_stage(config, stream(config.seed, TAG_REP, r), data=data, rep_index=r)
+        run_two_stage(config, stream(config.seed, TAG_REP, r), data, rep_index=r)
         for r in range(config.reps)
     ]
 
@@ -240,7 +241,6 @@ def pool_replicates(
     m: int,
     reps: int,
     seed: int,
-    level: float = 0.95,
 ) -> PooledReplicates:
     """Re-impute a fixed dataset reps times, pooling m imputations each time.
 
@@ -249,11 +249,10 @@ def pool_replicates(
     Replication r draws its variates on that stream, through one
     ``impute_m`` call; whole replications, about BLOCK_IMPUTATIONS
     imputations at a time, then go through one closed-form call and one
-    ``pool_rows`` call.  level is checked, but no interval is computed.
+    ``pool_rows`` call.  No interval is computed, so there is no level.
     """
     if reps < 1:
         raise ValueError(f"domain error: reps must be >= 1, got {reps}")
-    check_level(level)
     s = data.mean_stats
     per_block = max(1, BLOCK_IMPUTATIONS // max(m, 2))  # the draw rejects m < 2
     blocks = []
@@ -275,14 +274,14 @@ def _check_measurement_reps(reps: int) -> None:
 
 
 def pool_fixed_dataset(
-    n: int, rho: float, missing_fraction: float, m: int, reps: int, seed: int, level: float = 0.95
+    n: int, rho: float, missing_fraction: float, m: int, reps: int, seed: int
 ) -> PooledReplicates:
     """Draw one dataset on the seed's data stream, then pool m fresh
     imputations of it in each of reps (at least 100) replications; the
     poolings come by column, as from ``pool_replicates``."""
     _check_measurement_reps(reps)
     data = gen_incomplete(n, rho, missing_fraction, stream(seed, TAG_DATA))
-    return pool_replicates(data, m, reps, seed, level)
+    return pool_replicates(data, m, reps, seed)
 
 
 @dataclass(frozen=True)
@@ -327,12 +326,11 @@ def empirical_cv(
 def required_m(
     data: IncompleteBivariate,
     cv_target: float,
-    m_lo: int = 2,
     m_hi: int = 512,
     reps: int = 200,
     seed: int = 0,
 ) -> int:
-    """Smallest m in [m_lo, m_hi] whose measured SE coefficient of
+    """Smallest m in [2, m_hi] whose measured SE coefficient of
     variation on this dataset is at or below cv_target.
 
     Bisects on m (the CV is monotone decreasing in m); probe noise is
@@ -341,20 +339,20 @@ def required_m(
     """
     if not (0.0 < cv_target < 1.0):
         raise ValueError(f"domain error: cv_target must be in (0, 1), got {cv_target!r}")
-    if not (2 <= m_lo < m_hi):
-        raise ValueError(f"domain error: need 2 <= m_lo < m_hi, got ({m_lo}, {m_hi})")
+    if not m_hi > 2:
+        raise ValueError(f"domain error: need m_hi > 2, got {m_hi}")
 
     def probe(m: int, tag: int) -> float:
         return empirical_cv(data, m, reps, derive_seed(seed, tag, m)).cv_se
 
-    if probe(m_lo, TAG_PROBE) <= cv_target:
-        candidate = m_lo
+    if probe(2, TAG_PROBE) <= cv_target:
+        candidate = 2
     elif probe(m_hi, TAG_PROBE) > cv_target:
         raise ValueError(
             f"search exhausted: cv_se stays above {cv_target} at m_hi={m_hi}"
         )
     else:
-        lo, hi = m_lo, m_hi
+        lo, hi = 2, m_hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if probe(mid, TAG_PROBE) <= cv_target:
@@ -376,7 +374,6 @@ def required_m(
 def df_reliability(
     config: ExperimentConfig,
     df_threshold: float,
-    reps: int | None = None,
 ) -> float:
     """Fraction of pilot poolings whose estimated df exceeds the threshold.
 
@@ -385,8 +382,7 @@ def df_reliability(
     stopping criterion would be triggered by chance.
     """
     pooled = pool_fixed_dataset(
-        config.n, config.rho, config.missing_fraction, config.pilot_m,
-        config.reps if reps is None else reps, config.seed, config.level,
+        config.n, config.rho, config.missing_fraction, config.pilot_m, config.reps, config.seed
     )
     return float(np.mean(pooled.df_hat > df_threshold))
 
@@ -429,12 +425,7 @@ def curve_data(
 
 def df_cv_curve(cvs: Sequence[float]) -> list[tuple[float, float]]:
     """(cv, df) pairs tracing df = 1 / (2 cv^2), the SE-stability tradeoff."""
-    out = []
-    for cv in cvs:
-        if not (0.0 < cv < 1.0):
-            raise ValueError(f"domain error: cv must be in (0, 1), got {cv!r}")
-        out.append((float(cv), 1.0 / (2.0 * cv * cv)))
-    return out
+    return [(float(cv), cv_df_convert(cv, "cv_to_df")) for cv in cvs]
 
 
 # The cache never hits, since no caller revisits a cell; it stays because
@@ -474,8 +465,7 @@ def calibrate_missing_fraction(gamma_target: float, rho: float = 0.0) -> float:
     """
     if not (0.0 < gamma_target < 1.0):
         raise ValueError(f"domain error: gamma_target must be in (0, 1), got {gamma_target!r}")
-    if not (0.0 <= rho < 1.0):
-        raise ValueError(f"domain error: rho must be in [0, 1), got {rho!r}")
+    _check_rho(rho)
     rho2 = rho * rho
     return gamma_target / (1.0 - rho2 + gamma_target * rho2)
 
@@ -487,19 +477,15 @@ def simulated_required_m(
     reps: int = 200,
     seed: int = 0,
     rho: float = 0.0,
-    m_hi: int | None = None,
 ) -> int:
     """Empirical required m at the true fraction of missing information gamma.
 
     Sets the missing fraction from gamma by calibrate_missing_fraction's
     closed form, draws one dataset on the seed's data stream, and searches
-    for the smallest m meeting cv_target on it (see required_m).  m_hi
-    defaults to three times the quadratic rule's m plus 16, at most
-    DEFAULT_M_MAX.
+    for the smallest m meeting cv_target on it (see required_m), up to
+    three times the quadratic rule's m plus 16, at most DEFAULT_M_MAX.
     """
     p = calibrate_missing_fraction(gamma, rho)
     data = gen_incomplete(n, rho, p, stream(seed, TAG_DATA))
-    if m_hi is None:
-        predicted = m_for_se_cv(gamma, cv_target)
-        m_hi = min(DEFAULT_M_MAX, 3 * predicted + 16)
-    return required_m(data, cv_target, m_lo=2, m_hi=m_hi, reps=reps, seed=seed)
+    m_hi = min(DEFAULT_M_MAX, 3 * m_for_se_cv(gamma, cv_target) + 16)
+    return required_m(data, cv_target, m_hi=m_hi, reps=reps, seed=seed)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fmi import gamma_ci
 from .pooling import PooledAnalysis
 
 TARGET_KINDS = ("sd_of_se", "cv_of_se", "cv_of_variance", "df")
@@ -166,24 +165,23 @@ def _resolve_cv_target(pilot: PooledAnalysis, target: ReplicabilityTarget) -> fl
 def recommend(
     pilot: PooledAnalysis,
     target: ReplicabilityTarget,
-    level: float = 0.95,
     m_max: int = DEFAULT_M_MAX,
 ) -> Recommendation:
     """Recommend the number of imputations from a pilot analysis.
 
-    Uses the upper bound of the pilot's gamma confidence interval
-    (recomputed at ``level``) as a conservative plug-in: the true gamma
-    exceeds it with probability only (1 - level) / 2, so the recommended
-    m falls short equally rarely.  The caller decides whether to stop
-    (pilot_sufficient) or run a final analysis with m_required fresh
-    imputations.
+    Uses the upper bound of the pilot's gamma confidence interval, at the
+    level the pilot was pooled at, as a conservative plug-in: the true
+    gamma exceeds it with probability only (1 - level) / 2, so the
+    recommended m falls short equally rarely.  The caller decides whether
+    to stop (pilot_sufficient) or run a final analysis with m_required
+    fresh imputations.
 
     A rule count above m_max is cut to m_max without a warning; the
     result reports it through capped and m_uncapped.  pilot_sufficient
     compares the pilot's m with the capped m_required.  m_max must be at
     least 2.
     """
-    gamma_used = gamma_ci(pilot.gamma_hat, pilot.m, level).upper
+    gamma_used = pilot.gamma_interval.upper
     cv_target = _resolve_cv_target(pilot, target)
     # A cv target of 1 or more is looser than any useful goal; the floor of 2 applies.
     raw = 2.0 if cv_target >= 1.0 else _se_cv_rule(gamma_used, cv_target)

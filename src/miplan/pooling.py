@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fmi import GAMMA_EPS, GammaInterval, gamma_ci
+from .fmi import GAMMA_EPS, GammaInterval, check_level, gamma_ci
 from .quantiles import t_quantile
 
 RESULTS_CSV_HEADER = ("imputation", "estimate", "variance")
@@ -111,11 +111,6 @@ class PooledReplicates:
     gamma_hat: np.ndarray
     gamma_raw: np.ndarray
     df_hat: np.ndarray
-
-
-def check_level(level: float) -> None:
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"domain error: level must be in (0, 1), got {level!r}")
 
 
 def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:

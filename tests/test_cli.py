@@ -201,6 +201,14 @@ SEEDED_EXPERIMENTS = {
                         "--reps", "100"],
 }
 
+# One small run of each simulate experiment.
+SMALL_EXPERIMENTS = {
+    "cv-check": SEEDED_EXPERIMENTS["cv-check"],
+    "df-reliability": SEEDED_EXPERIMENTS["df-reliability"],
+    "curve": ["--experiment", "curve", "--gammas", "0.5"],
+    "two-stage": ["--experiment", "two-stage", "--n", "300", "--reps", "2", "--target-cv", "0.2"],
+}
+
 
 class TestSimulate:
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -211,11 +219,17 @@ class TestSimulate:
             f"domain error: seed must be an unsigned 64-bit integer, got {seed}",
         )
 
-    @pytest.mark.parametrize("experiment", ["cv-check", "df-reliability"])
+    @pytest.mark.parametrize("experiment", list(SMALL_EXPERIMENTS))
     def test_level_outside_unit_interval_exits_one(self, capsys, experiment):
         assert_one_error_line(
-            run_cli(capsys, ["simulate", *SEEDED_EXPERIMENTS[experiment], "--level", "1.5"]),
+            run_cli(capsys, ["simulate", *SMALL_EXPERIMENTS[experiment], "--level", "1.5"]),
             "domain error: level must be in (0, 1), got 1.5",
+        )
+
+    def test_level_nan_exits_one(self, capsys):
+        assert_one_error_line(
+            run_cli(capsys, ["simulate", *SMALL_EXPERIMENTS["curve"], "--level", "nan"]),
+            "domain error: level must be in (0, 1), got nan",
         )
 
     def test_two_stage_records_and_summary(self, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The sufficient-statistic engine behind every simulated pooling.
 
-``imputer.draw_mean_analyses`` draws the (estimate, within variance) pairs
-of m imputations without building them: ``draw_mean_variates`` (bound as
+The engine draws the (estimate, within variance) pairs of m imputations
+without building them: ``imputer.draw_mean_variates`` (bound as
 ``montecarlo.impute_m``) draws their variates, and ``mean_analyses`` turns
 them into analyses.
 These tests hold it to the reference path, ``impute_m`` + ``analyze_mean``:
@@ -30,7 +30,7 @@ from miplan import (
     stream,
 )
 from miplan import montecarlo
-from miplan.imputer import draw_mean_analyses, draw_mean_variates, mean_analyses
+from miplan.imputer import draw_mean_variates, mean_analyses
 from miplan.montecarlo import TAG_DATA, TAG_REP
 
 
@@ -88,7 +88,8 @@ def test_no_missing_values_give_the_observed_analysis():
     obs = ~d.missing_mask
     complete = IncompleteBivariate(d.x[obs], d.y[obs])
     observed = analyze_mean(CompletedDataset(complete.x, complete.y, np.zeros(complete.n, bool)))
-    estimates, withins = draw_mean_analyses(complete, 4, np.random.default_rng(0))
+    variates = draw_mean_variates(complete, 4, np.random.default_rng(0))
+    estimates, withins = mean_analyses(complete.mean_stats, *variates)
     assert np.all(estimates == observed.estimate)
     assert withins == pytest.approx(np.full(4, observed.within_variance), rel=1e-12)
 
@@ -96,9 +97,9 @@ def test_no_missing_values_give_the_observed_analysis():
 def test_errors_match_the_reference_path():
     line = IncompleteBivariate(np.ones(6), [1.0, 2.0, 3.0, 4.0, None, None])
     with pytest.raises(ValueError, match="singular design"):
-        draw_mean_analyses(line, 3, np.random.default_rng(0))
+        draw_mean_variates(line, 3, np.random.default_rng(0))
     with pytest.raises(ValueError, match="insufficient imputations"):
-        draw_mean_analyses(DATASETS["regular"](), 1, np.random.default_rng(0))
+        draw_mean_variates(DATASETS["regular"](), 1, np.random.default_rng(0))
 
 
 def reference_replicates(data, m, reps, seed):

@@ -51,6 +51,10 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def small_data(config):
+    return gen_incomplete(config.n, config.rho, config.missing_fraction, stream(config.seed, TAG_DATA))
+
+
 class TestStreams:
     def test_deterministic(self):
         assert stream(7, 1, 3).random() == stream(7, 1, 3).random()
@@ -124,13 +128,14 @@ class TestConfigValidation:
 class TestTwoStage:
     def test_fixed_seed_identical_record(self):
         config = small_config()
-        a = run_two_stage(config, stream(config.seed, 1, 0))
-        b = run_two_stage(config, stream(config.seed, 1, 0))
+        data = small_data(config)
+        a = run_two_stage(config, stream(config.seed, 1, 0), data)
+        b = run_two_stage(config, stream(config.seed, 1, 0), data)
         assert a == b
 
     def test_loose_target_reuses_pilot(self):
         config = small_config(target=ReplicabilityTarget("cv_of_se", 0.9))
-        record = run_two_stage(config, stream(config.seed, 1, 0))
+        record = run_two_stage(config, stream(config.seed, 1, 0), small_data(config))
         assert record.recommendation.pilot_sufficient
         assert record.final is record.pilot
         assert record.final.m == config.pilot_m
@@ -203,19 +208,19 @@ class TestEmpiricalCv:
 class TestRequiredM:
     def test_floor_when_target_loose(self):
         d = gen_incomplete(300, 0.0, 0.5, stream(12, TAG_DATA))
-        assert required_m(d, 0.9, m_lo=2, m_hi=16, reps=100, seed=12) == 2
+        assert required_m(d, 0.9, m_hi=16, reps=100, seed=12) == 2
 
     def test_search_exhausted(self):
         d = gen_incomplete(300, 0.0, 0.5, stream(13, TAG_DATA))
         with pytest.raises(ValueError, match="search exhausted"):
-            required_m(d, 0.011, m_lo=2, m_hi=6, reps=100, seed=13)
+            required_m(d, 0.011, m_hi=6, reps=100, seed=13)
 
     def test_domain_errors(self):
         d = gen_incomplete(300, 0.0, 0.5, stream(14, TAG_DATA))
         with pytest.raises(ValueError, match="domain error"):
             required_m(d, 1.2, seed=14)
         with pytest.raises(ValueError, match="domain error"):
-            required_m(d, 0.05, m_lo=8, m_hi=8, seed=14)
+            required_m(d, 0.05, m_hi=2, seed=14)
 
 
 class TestPoolReplicates:
@@ -226,7 +231,7 @@ class TestPoolReplicates:
         m, reps, seed = 1000, 150, 22
         per_block = BLOCK_IMPUTATIONS // m
         assert reps * m > BLOCK_IMPUTATIONS and reps % per_block != 0
-        pooled = pool_replicates(data, m, reps, seed, level=0.9)
+        pooled = pool_replicates(data, m, reps, seed)
         assert pooled.m == m
         for r in range(reps):
             single = _pool_once(data, m, stream(seed, TAG_REP, r), 0.9)
@@ -234,13 +239,6 @@ class TestPoolReplicates:
                 if f.name != "m":
                     value = getattr(pooled, f.name)[r].item()
                     assert repr(value) == repr(getattr(single, f.name)), (r, f.name)
-
-    def test_level_checked_though_no_interval_is_computed(self):
-        data = gen_incomplete(300, 0.0, 0.5, stream(3, TAG_DATA))
-        for level in (0.0, 1.5):
-            with pytest.raises(ValueError) as exc:
-                pool_replicates(data, 5, 10, seed=3, level=level)
-            assert str(exc.value) == f"domain error: level must be in (0, 1), got {level!r}"
 
 
 class TestDfReliability:

@@ -7,12 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from miplan import (
     ReplicabilityTarget,
     cv_df_convert,
     cv_for_sd_goal,
+    gamma_ci,
     m_for_df,
     m_for_se_cv,
     m_for_var_cv,
@@ -224,7 +225,21 @@ class TestRecommend:
     @given(level=st.sampled_from([0.8, 0.9, 0.95, 0.99]))
     @settings(max_examples=20, deadline=None)
     def test_higher_level_never_recommends_less(self, level):
-        pilot = self.pilot()
-        low = recommend(pilot, ReplicabilityTarget("cv_of_se", 0.05), level=level)
-        high = recommend(pilot, ReplicabilityTarget("cv_of_se", 0.05), level=0.995)
+        results = make_pilot_results(5, 0.39, 0.023)
+        low = recommend(pool(results, level), ReplicabilityTarget("cv_of_se", 0.05))
+        high = recommend(pool(results, 0.995), ReplicabilityTarget("cv_of_se", 0.05))
         assert high.m_required >= low.m_required
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)), min_size=2, max_size=30
+        ),
+        level=st.floats(0.5, 0.999),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gamma_used_is_the_pilot_interval_at_its_level(self, rows, level):
+        """The plug-in is, bit for bit, gamma_ci at the level the pilot was pooled at."""
+        assume(float(np.mean([w for _, w in rows])) > 0.0)
+        pilot = pool(rows, level)
+        rec = recommend(pilot, ReplicabilityTarget("cv_of_se", 0.05))
+        assert repr(rec.gamma_used) == repr(gamma_ci(pilot.gamma_hat, pilot.m, level).upper)
