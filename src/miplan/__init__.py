@@ -38,7 +38,6 @@ from .montecarlo import (
     curve_data,
     derive_seed,
     df_cv_curve,
-    df_reliability,
     empirical_cv,
     empirical_cv_of,
     gen_incomplete,
@@ -55,11 +54,8 @@ from .planning import (
     DEFAULT_M_MAX,
     Recommendation,
     ReplicabilityTarget,
-    cv_df_convert,
-    cv_for_sd_goal,
-    m_for_df,
+    df_for_cv,
     m_for_se_cv,
-    m_for_var_cv,
     recommend,
     variance_inflation,
 )
@@ -95,7 +91,6 @@ __all__ = [
     "curve_data",
     "derive_seed",
     "df_cv_curve",
-    "df_reliability",
     "empirical_cv",
     "empirical_cv_of",
     "gen_incomplete",
@@ -110,11 +105,8 @@ __all__ = [
     "DEFAULT_M_MAX",
     "Recommendation",
     "ReplicabilityTarget",
-    "cv_df_convert",
-    "cv_for_sd_goal",
-    "m_for_df",
+    "df_for_cv",
     "m_for_se_cv",
-    "m_for_var_cv",
     "recommend",
     "variance_inflation",
     "ImputationResult",

@@ -374,6 +374,9 @@ def _sim_curve(args) -> int:
 
 
 def _sim_df_reliability(args) -> int:
+    if not math.isfinite(args.df_threshold):
+        # df_hat > nan is never true, so the fraction would read 0.
+        raise ValueError(f"domain error: df threshold must be finite, got {args.df_threshold!r}")
     reps = args.reps if args.reps is not None else 1000
     pooled = pool_fixed_dataset(args.n, args.rho, args.missing, args.pilot_m, reps, args.seed)
     exceeds = (pooled.df_hat > args.df_threshold).tolist()

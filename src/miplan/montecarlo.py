@@ -22,8 +22,9 @@ from .planning import (
     Recommendation,
     ReplicabilityTarget,
     _capped_count,
+    _check_unit_interval,
     _se_cv_rule,
-    cv_df_convert,
+    df_for_cv,
     m_for_se_cv,
     recommend,
 )
@@ -371,22 +372,6 @@ def required_m(
         candidate = min(m_hi, candidate + max(1, candidate // 10))
 
 
-def df_reliability(
-    config: ExperimentConfig,
-    df_threshold: float,
-) -> float:
-    """Fraction of pilot poolings whose estimated df exceeds the threshold.
-
-    The estimated df is a noisy transform of the estimated fraction of
-    missing information, so this fraction shows how often a df-based
-    stopping criterion would be triggered by chance.
-    """
-    pooled = pool_fixed_dataset(
-        config.n, config.rho, config.missing_fraction, config.pilot_m, config.reps, config.seed
-    )
-    return float(np.mean(pooled.df_hat > df_threshold))
-
-
 @dataclass(frozen=True)
 class CurveRow:
     gamma: float
@@ -425,7 +410,9 @@ def curve_data(
 
 def df_cv_curve(cvs: Sequence[float]) -> list[tuple[float, float]]:
     """(cv, df) pairs tracing df = 1 / (2 cv^2), the SE-stability tradeoff."""
-    return [(float(cv), cv_df_convert(cv, "cv_to_df")) for cv in cvs]
+    for cv in cvs:
+        _check_unit_interval("cv", cv)
+    return [(float(cv), df_for_cv(cv)) for cv in cvs]
 
 
 # The cache never hits, since no caller revisits a cell; it stays because

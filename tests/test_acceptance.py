@@ -97,16 +97,21 @@ def test_criterion_02_pooling_oracle():
 
 
 def test_criterion_03_rule_identities():
-    check = Check(3, "se-cv, df, and variance-cv rules agree exactly on a 50x10 grid", 1.0)
+    check = Check(3, "se-cv, df, and variance-cv targets agree exactly on a 50x10 grid", 1.0)
     gammas = np.linspace(0.015, 0.985, 50)
     cvs = np.linspace(0.01, 0.20, 10)
+    se = 0.023  # no target but sd_of_se reads it
+
+    def m_for(kind, value, g):
+        return mp.m_for_se_cv(g, mp.ReplicabilityTarget(kind, value).cv_of_se(se))
+
     for g in gammas:
         g = float(g)
         for cv in cvs:
             cv = float(cv)
-            m_se = mp.m_for_se_cv(g, cv)
-            m_df = mp.m_for_df(g, 1.0 / (2.0 * cv * cv))
-            m_var = mp.m_for_var_cv(g, 2.0 * cv)
+            m_se = m_for("cv_of_se", cv, g)
+            m_df = m_for("df", 1.0 / (2.0 * cv * cv), g)
+            m_var = m_for("cv_of_variance", 2.0 * cv, g)
             check.expect(m_se == m_df, f"se vs df at ({g:.3f}, {cv:.3f}): {m_se} != {m_df}")
             check.expect(m_var == m_se, f"var vs se at ({g:.3f}, {cv:.3f}): {m_var} != {m_se}")
     check.finish()
@@ -177,11 +182,8 @@ def test_criterion_07_quadratic_rule_shape():
 
 def test_criterion_08_df_instability():
     check = Check(8, "fraction of M=5 pilots with estimated df > 100 lies in (.03, .50)", 120.0)
-    config = mp.ExperimentConfig(
-        n=2000, rho=0.0, missing_fraction=0.39, pilot_m=5,
-        target=mp.ReplicabilityTarget("cv_of_se", 0.05), reps=1000, seed=818,
-    )
-    fraction = mp.df_reliability(config, 100.0)
+    pooled = mp.pool_fixed_dataset(2000, 0.0, 0.39, 5, 1000, seed=818)
+    fraction = float(np.mean(pooled.df_hat > 100.0))
     check.expect(0.03 < fraction < 0.50, f"fraction {fraction:.3f}")
     check.finish()
 

@@ -182,7 +182,21 @@ class TestTable1:
 
     def test_grid_outside_unit_interval_exits_one(self, capsys):
         assert_one_error_line(run_cli(capsys, ["table1", "--gammas", "0,1"]),
-                              "domain error: table1 gammas must be in (0, 1), got 0.0")
+                              "domain error: table1 gammas must be in [1e-06, 0.999999], got 0.0")
+
+    @pytest.mark.parametrize("gamma", ["1e-7", "0.9999999"])
+    def test_gamma_that_would_be_clamped_exits_one(self, capsys, gamma):
+        """gamma_ci clamps into [1e-6, 1 - 1e-6]; table1 refuses instead of
+        printing the interval of a gamma it was not given."""
+        assert_one_error_line(run_cli(capsys, ["table1", "--gammas", gamma, "--ms", "5"]),
+                              f"got {float(gamma)!r}")
+
+    def test_clamp_bounds_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, ["table1", "--gammas", "1e-6,0.999999", "--ms", "5"])
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
+            "9.9999999999999995e-07", "0.99999899999999997"
+        ]
 
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "t1.csv"
@@ -388,6 +402,23 @@ class TestSimulate:
         assert lines[0] == "cv,df"
         assert float(lines[1].split(",")[1]) == pytest.approx(200.0, rel=1e-12)
         assert float(lines[2].split(",")[1]) == pytest.approx(50.0, rel=1e-12)
+
+    @pytest.mark.parametrize("cv", ["1e-200", "1e-170"])
+    def test_df_curve_underflow_reads_inf(self, capsys, cv):
+        """2 cv^2 underflows to zero below cv of about 1e-162; df is then inf."""
+        code, out, err = run_cli(capsys, [
+            "simulate", "--experiment", "curve", "--df-curve", "--cvs", f"{cv},0.5",
+        ])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["cv,df", f"{float(cv):.17g},inf", "0.5,2"]
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_df_threshold_not_finite_exits_one(self, capsys, threshold):
+        assert_one_error_line(
+            run_cli(capsys, ["simulate", "--experiment", "df-reliability", "--n", "300",
+                             "--reps", "100", f"--df-threshold={threshold}"]),
+            f"domain error: df threshold must be finite, got {float(threshold)!r}",
+        )
 
     def test_df_reliability(self, tmp_path, capsys):
         base = tmp_path / "dfr"

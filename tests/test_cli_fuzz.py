@@ -188,12 +188,17 @@ def simulate_flags(draw) -> dict[str, str]:
     flags=simulate_flags(),
     targets=mostly(st.lists(TARGET, min_size=1, max_size=1), st.lists(TARGET, max_size=2)),
     simulated=st.booleans(),
+    df_curve=st.booleans(),
+    # tiny clean cvs reach the underflow of 2 cv^2, where df is inf
+    cvs=st.lists(mostly(floats(1e-300, 0.999)), max_size=3),
 )
-def test_simulate(experiment, flags, targets, simulated):
+def test_simulate(experiment, flags, targets, simulated, df_curve, cvs):
     argv = ["simulate", "--experiment", experiment]
     argv += [f"{flag}={value}" for flag, value in flags.items()]
     if experiment == "two-stage":
         argv += [f"{flag}={value}" for flag, value in targets]
     if experiment == "curve" and simulated:
         argv.append("--simulated")
+    if experiment == "curve" and df_curve:
+        argv += ["--df-curve", f"--cvs={','.join(cvs)}"]
     run(argv)

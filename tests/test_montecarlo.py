@@ -18,7 +18,6 @@ from miplan import (
     curve_data,
     derive_seed,
     df_cv_curve,
-    df_reliability,
     empirical_cv,
     gen_incomplete,
     pool,
@@ -242,18 +241,20 @@ class TestPoolReplicates:
 
 
 class TestDfReliability:
+    """The fraction of pilot poolings whose df_hat exceeds a threshold, as
+    the df-reliability experiment measures it."""
+
     def test_threshold_zero_is_certain(self):
-        config = small_config(n=500, reps=100)
-        assert df_reliability(config, 0.0) == 1.0
+        pooled = pool_fixed_dataset(500, 0.0, 0.5, 5, 100, seed=1234)
+        assert np.mean(pooled.df_hat > 0.0) == 1.0
 
     def test_tiny_gamma_always_exceeds(self):
-        config = small_config(n=500, missing_fraction=0.05, pilot_m=40, reps=100)
-        assert df_reliability(config, 100.0) == 1.0
+        pooled = pool_fixed_dataset(500, 0.0, 0.05, 40, 100, seed=1234)
+        assert np.mean(pooled.df_hat > 100.0) == 1.0
 
     def test_rejects_few_reps(self):
-        config = small_config(reps=10)
         with pytest.raises(ValueError, match="insufficient replications"):
-            df_reliability(config, 100.0)
+            pool_fixed_dataset(400, 0.0, 0.5, 5, 10, seed=1234)
 
     def test_fixed_dataset_comes_from_the_data_stream(self):
         data = gen_incomplete(300, 0.0, 0.5, stream(3, TAG_DATA))
@@ -292,8 +293,10 @@ class TestCurves:
         pairs = dict(df_cv_curve([0.05, 0.1]))
         assert pairs[0.05] == pytest.approx(200.0, rel=1e-12)
         assert pairs[0.1] == pytest.approx(50.0, rel=1e-12)
-        with pytest.raises(ValueError, match="domain error"):
-            df_cv_curve([1.5])
+        assert df_cv_curve([1e-200]) == [(1e-200, math.inf)]  # 2 cv^2 underflows
+        for bad in (1.5, 0.0, math.nan):
+            with pytest.raises(ValueError, match="domain error"):
+                df_cv_curve([0.05, bad])
 
 
 def gamma_of(p, rho):

@@ -11,17 +11,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from miplan import (
     ReplicabilityTarget,
-    cv_df_convert,
-    cv_for_sd_goal,
+    df_for_cv,
     gamma_ci,
-    m_for_df,
     m_for_se_cv,
-    m_for_var_cv,
     pool,
     recommend,
     variance_inflation,
 )
 from conftest import make_pilot_results
+
+
+def m_for(kind, value, gamma, m_max=10_000):
+    """The rule's count for a goal that reads no pilot SE."""
+    return m_for_se_cv(gamma, ReplicabilityTarget(kind, value).cv_of_se(1.0), m_max=m_max)
 
 
 class TestRules:
@@ -31,13 +33,13 @@ class TestRules:
         assert m_for_se_cv(1e-6, 0.05) == 2  # floor
 
     def test_var_cv_hand_values(self):
-        assert m_for_var_cv(0.5, 0.1) == 51
-        assert m_for_var_cv(0.9, 0.05) == 649
+        assert m_for("cv_of_variance", 0.1, 0.5) == 51
+        assert m_for("cv_of_variance", 0.05, 0.9) == 649
 
     def test_df_hand_values(self):
-        assert m_for_df(0.5, 200) == 51
-        assert m_for_df(0.3, 100) == 10
-        assert m_for_df(1e-6, 200) == 2
+        assert m_for("df", 200.0, 0.5) == 51
+        assert m_for("df", 100.0, 0.3) == 10
+        assert m_for("df", 200.0, 1e-6) == 2
 
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.3, math.nan):
@@ -45,37 +47,35 @@ class TestRules:
                 m_for_se_cv(bad, 0.05)
             with pytest.raises(ValueError, match="domain error"):
                 m_for_se_cv(0.5, bad)
-        with pytest.raises(ValueError, match="domain error"):
-            m_for_df(0.5, 0.5)
 
     def test_cap_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert m_for_se_cv(0.99, 0.001, m_max=10_000) == 10_000
-            assert m_for_var_cv(0.99, 0.002, m_max=50) == 50
-            assert m_for_df(0.99, 1e12, m_max=2) == 2
+            assert m_for("cv_of_variance", 0.002, 0.99, m_max=50) == 50
+            assert m_for("df", 1e12, 0.99, m_max=2) == 2
 
     def test_m_max_below_two_rejected(self):
         for m_max in (1, 0, -5):
             with pytest.raises(ValueError, match="domain error: m_max"):
                 m_for_se_cv(0.5, 0.05, m_max=m_max)
             with pytest.raises(ValueError, match="domain error: m_max"):
-                m_for_df(1e-6, 200, m_max=m_max)
+                m_for_se_cv(1e-6, 0.05, m_max=m_max)  # the floor of 2 does not get round it
 
     def test_rule_identities_on_grid(self):
         gammas = np.linspace(0.015, 0.985, 50)
         cvs = np.linspace(0.01, 0.20, 10)
         for g in gammas:
             for cv in cvs:
-                df = cv_df_convert(float(cv), "cv_to_df")
-                assert m_for_se_cv(float(g), float(cv)) == m_for_df(float(g), df)
-                assert m_for_var_cv(float(g), 2.0 * float(cv)) == m_for_se_cv(float(g), float(cv))
+                g, cv = float(g), float(cv)
+                assert m_for("df", df_for_cv(cv), g) == m_for_se_cv(g, cv)
+                assert m_for("cv_of_variance", 2.0 * cv, g) == m_for_se_cv(g, cv)
 
     @given(g=st.floats(min_value=0.01, max_value=0.99), cv=st.floats(min_value=0.01, max_value=0.45))
     @settings(max_examples=150, deadline=None)
     def test_rule_identities_property(self, g, cv):
-        assert m_for_se_cv(g, cv) == m_for_df(g, cv_df_convert(cv, "cv_to_df"))
-        assert m_for_var_cv(g, 2.0 * cv) == m_for_se_cv(g, cv)
+        assert m_for("df", df_for_cv(cv), g) == m_for_se_cv(g, cv)
+        assert m_for("cv_of_variance", 2.0 * cv, g) == m_for_se_cv(g, cv)
 
     def test_quadratic_shape_where_exact(self):
         # points where the rule lands on integers, so the ceiling is inert
@@ -105,20 +105,27 @@ class TestRules:
 
 class TestConversions:
     def test_cv_df_values(self):
-        assert cv_df_convert(0.05, "cv_to_df") == pytest.approx(200.0, rel=1e-12)
-        assert cv_df_convert(200.0, "df_to_cv") == pytest.approx(0.05, rel=1e-12)
+        assert df_for_cv(0.05) == pytest.approx(200.0, rel=1e-12)
+        assert ReplicabilityTarget("df", 200.0).cv_of_se(1.0) == pytest.approx(0.05, rel=1e-12)
 
     def test_inverse_pair(self):
         for x in (10.0, 50.0, 1000.0):
-            assert cv_df_convert(cv_df_convert(x, "df_to_cv"), "cv_to_df") == pytest.approx(x, rel=1e-12)
+            assert df_for_cv(ReplicabilityTarget("df", x).cv_of_se(1.0)) == pytest.approx(x, rel=1e-12)
 
-    def test_direction_validation(self):
-        with pytest.raises(ValueError, match="domain error"):
-            cv_df_convert(0.05, "sideways")
-        with pytest.raises(ValueError, match="domain error"):
-            cv_df_convert(1.5, "cv_to_df")
-        with pytest.raises(ValueError, match="domain error"):
-            cv_df_convert(0.0, "df_to_cv")
+    def test_df_for_cv_underflow_is_inf(self):
+        assert df_for_cv(1e-100) == pytest.approx(5e199, rel=1e-12)
+        for cv in (1e-170, 1e-200, 5e-324):
+            assert df_for_cv(cv) == math.inf
+
+    def test_cv_of_se_by_kind(self):
+        se = 0.023
+        assert ReplicabilityTarget("sd_of_se", 0.001).cv_of_se(se) == 0.001 / se
+        assert ReplicabilityTarget("cv_of_se", 0.05).cv_of_se(se) == 0.05
+        assert ReplicabilityTarget("cv_of_variance", 0.1).cv_of_se(se) == 0.05
+        assert ReplicabilityTarget("df", 200.0).cv_of_se(se) == math.sqrt(1.0 / 400.0)
+        for kind, value in (("cv_of_se", 0.05), ("cv_of_variance", 0.1), ("df", 200.0)):
+            target = ReplicabilityTarget(kind, value)
+            assert target.cv_of_se(se) == target.cv_of_se(math.nan)  # reads no pilot SE
 
     def test_variance_inflation(self):
         var_factor, se_factor = variance_inflation(0.8, 10)
@@ -130,13 +137,17 @@ class TestConversions:
         assert se_factor == pytest.approx(1.0, abs=1e-8)
 
     def test_sd_goal_to_cv(self):
-        assert cv_for_sd_goal(0.001, 0.023) == pytest.approx(0.043478, abs=1e-6)
-        assert cv_for_sd_goal(0.37, 0.37) == 1.0
-        assert cv_for_sd_goal(0.001, 0.021) == pytest.approx(0.047619, abs=1e-6)
+        def cv(sd_goal, se):
+            return ReplicabilityTarget("sd_of_se", sd_goal).cv_of_se(se)
+
+        assert cv(0.001, 0.023) == pytest.approx(0.043478, abs=1e-6)
+        assert cv(0.37, 0.37) == 1.0
+        assert cv(0.001, 0.021) == pytest.approx(0.047619, abs=1e-6)
         with pytest.raises(ValueError, match="invalid target"):
-            cv_for_sd_goal(-1.0, 0.02)
-        with pytest.raises(ValueError, match="invalid target"):
-            cv_for_sd_goal(0.001, 0.0)
+            cv(-1.0, 0.02)
+        for se in (0.0, -0.02, math.nan, math.inf):
+            with pytest.raises(ValueError, match="invalid target: pilot se must be positive"):
+                cv(0.001, se)
 
 
 class TestTargetValidation:
