@@ -1,9 +1,14 @@
 """Monte Carlo harness: check the planning rules on synthetic data.
 
 Experiments run on bivariate-normal data with MCAR deletion of the
-outcome.  Every replication draws its randomness from a stream derived
-deterministically from (seed, tag, index) via numpy's SeedSequence spawn
-keys, so a replication's result depends only on the seed and its index.
+outcome.  Randomness comes from streams derived deterministically from
+(seed, tag, *key) via numpy's SeedSequence spawn keys.  A two-stage
+replication has its own stream, keyed by its index, so its result depends
+only on the seed and that index.  ``pool_replicates`` draws a block of
+replications from one stream, keyed by the block's index and m, so a
+replication's result depends on the seed, its index and m (and, in the
+last, partial block, on reps).  Calls with one seed at different m share
+no streams, so their errors are not correlated.
 """
 
 from __future__ import annotations
@@ -38,12 +43,14 @@ TAG_PROBE = 2
 TAG_CONFIRM = 3
 TAG_CALIBRATE = 4
 
-# Every simulated pooling draws the variates of its m imputations through
-# this name, once per pooling; the benchmark counts imputations by wrapping it.
+# Every simulated pooling draws the variates of its imputations through this
+# name: once per two-stage pooling, once per block of pool_replicates, and
+# always exactly the imputations that get pooled.  The benchmark counts
+# imputations by wrapping it.
 impute_m = draw_mean_variates
 
-# pool_replicates pools whole replications in blocks of about this many
-# imputations, so its variates take a few MB whatever reps and m are.
+# pool_replicates draws and pools whole replications in blocks of about this
+# many imputations, so its variates take a few MB whatever reps and m are.
 BLOCK_IMPUTATIONS = 2**16
 
 
@@ -245,22 +252,28 @@ def pool_replicates(
 ) -> PooledReplicates:
     """Re-impute a fixed dataset reps times, pooling m imputations each time.
 
-    Returns the reps poolings by column, entry r for replication r, each
-    field as ``_pool_once`` on stream(seed, TAG_REP, r) would give it.
-    Replication r draws its variates on that stream, through one
-    ``impute_m`` call; whole replications, about BLOCK_IMPUTATIONS
-    imputations at a time, then go through one closed-form call and one
-    ``pool_rows`` call.  No interval is computed, so there is no level.
+    Returns the reps poolings by column, entry r for replication r.
+    Replications go in blocks of max(1, BLOCK_IMPUTATIONS // m).  Block b,
+    holding count replications from start, draws count * m imputations
+    on stream(seed, TAG_REP, b, m) through one ``impute_m`` call; the
+    variates are read as count rows of m, row i for replication start + i,
+    and go through one closed-form call and one ``pool_rows`` call.  So
+    rows in full blocks depend only on (seed, m, b), and the last block
+    is drawn at its own size.  Each row has the distribution of
+    ``_pool_once`` on a fresh stream.  No interval is computed, so there
+    is no level.
     """
     if reps < 1:
         raise ValueError(f"domain error: reps must be >= 1, got {reps}")
+    if m < 2:  # before the block draw, which sees count * m imputations
+        raise ValueError(f"insufficient imputations: need m >= 2, got {m}")
     s = data.mean_stats
-    per_block = max(1, BLOCK_IMPUTATIONS // max(m, 2))  # the draw rejects m < 2
+    per_block = max(1, BLOCK_IMPUTATIONS // m)
     blocks = []
-    for start in range(0, reps, per_block):
-        variates = [impute_m(data, m, stream(seed, TAG_REP, r))
-                    for r in range(start, min(start + per_block, reps))]
-        blocks.append(pool_rows(*mean_analyses(s, *np.stack(variates, axis=1))))
+    for block, start in enumerate(range(0, reps, per_block)):
+        count = min(per_block, reps - start)
+        variates = impute_m(data, count * m, stream(seed, TAG_REP, block, m))
+        blocks.append(pool_rows(*mean_analyses(s, *(v.reshape(count, m) for v in variates))))
     if len(blocks) == 1:
         return blocks[0]
     columns = {f.name: np.concatenate([getattr(b, f.name) for b in blocks])

@@ -48,7 +48,7 @@ class ReplicabilityTarget:
                 f"invalid target: kind must be one of {TARGET_KINDS}, got {self.kind!r}"
             )
         if not (math.isfinite(self.value) and self.value > 0.0):
-            raise ValueError(f"invalid target: value must be positive, got {self.value!r}")
+            raise ValueError(f"invalid target: value must be positive and finite, got {self.value!r}")
         if self.kind in ("cv_of_se", "cv_of_variance") and not self.value < 1.0:
             raise ValueError(f"invalid target: cv targets must be in (0, 1), got {self.value!r}")
         if self.kind == "df" and self.value < 1.0:
@@ -59,7 +59,7 @@ class ReplicabilityTarget:
         read only by an sd_of_se goal."""
         if self.kind == "sd_of_se":
             if not (math.isfinite(se) and se > 0.0):
-                raise ValueError(f"invalid target: pilot se must be positive, got {se!r}")
+                raise ValueError(f"invalid target: pilot se must be positive and finite, got {se!r}")
             return self.value / se
         if self.kind == "cv_of_se":
             return self.value

@@ -356,6 +356,24 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, m", [
+        (["--experiment", "cv-check", "--m", "1"], 1),
+        (["--experiment", "cv-check", "--m", "-3"], -3),
+        (["--experiment", "df-reliability", "--pilot-m", "1"], 1),
+    ])
+    def test_m_below_two_exits_one(self, capsys, argv, m):
+        assert_one_error_line(
+            run_cli(capsys, ["simulate", *argv, "--n", "300", "--reps", "100"]),
+            f"insufficient imputations: need m >= 2, got {m}",
+        )
+
+    def test_infinite_target_exits_one(self, capsys):
+        assert_one_error_line(
+            run_cli(capsys, ["simulate", "--experiment", "two-stage", "--n", "300", "--reps", "2",
+                             "--target-sd", "inf"]),
+            "invalid target: value must be positive and finite, got inf",
+        )
+
     def test_cv_check_without_missing_values(self, capsys):
         # n = 20 at 1% missing draws no missing y on this seed: every pooling
         # is the same, so cv_se is 0 and the ratio to it is undefined

@@ -31,7 +31,7 @@ from miplan import (
 )
 from miplan import montecarlo
 from miplan.imputer import draw_mean_variates, mean_analyses
-from miplan.montecarlo import TAG_DATA, TAG_REP
+from miplan.montecarlo import BLOCK_IMPUTATIONS, TAG_DATA, TAG_REP, _pool_once
 
 
 def shifted(data: IncompleteBivariate, dx: float, dy: float) -> IncompleteBivariate:
@@ -110,9 +110,19 @@ def reference_replicates(data, m, reps, seed):
     ]
 
 
-# Each KS comparison rejects at ALPHA; 15 comparisons keep the family-wise
-# false-alarm rate under 1.5%.
+# Each KS comparison rejects at ALPHA; 24 comparisons keep the family-wise
+# false-alarm rate under 2.4%.
 ALPHA = 0.001
+
+
+def assert_same_distribution(columns, poolings):
+    """Two-sample KS at ALPHA on se, gamma_hat and theta: a PooledReplicates
+    against a list of single poolings."""
+    for field in ("se", "gamma_hat", "theta"):
+        a = getattr(columns, field)
+        b = np.array([getattr(p, field) for p in poolings])
+        p_value = stats.ks_2samp(a, b).pvalue
+        assert p_value > ALPHA, f"{field}: KS p = {p_value:.2g}"
 
 
 @pytest.mark.parametrize("name, m, reps", [
@@ -141,17 +151,36 @@ def test_engine_matches_reference_in_distribution(name, m, reps):
     data = DATASETS[name]()
     engine = pool_replicates(data, m, reps, seed=101)
     reference = reference_replicates(data, m, reps, seed=202)
-    for field in ("se", "gamma_hat", "theta"):
-        a = getattr(engine, field)
-        b = np.array([getattr(p, field) for p in reference])
-        p_value = stats.ks_2samp(a, b).pvalue
-        assert p_value > ALPHA, f"{field}: KS p = {p_value:.2g}"
+    assert_same_distribution(engine, reference)
+
+
+@pytest.mark.parametrize("m, reps", [(5, 1000), (20, 2000), (1000, 150)])
+def test_block_draw_matches_per_replication_draw_in_distribution(m, reps):
+    """Two-sample KS on se, gamma_hat and theta: pool_replicates, which draws
+    a block of replications from one stream, against one _pool_once per
+    replication on its own stream, on independent seeds.
+
+    (1000, 150) spans three blocks with a partial tail.  Like the test
+    above, this cannot see a 5% CV(SE) shift.  It guards the block layout
+    (reshape order, block keys) against errors that change a row's
+    distribution, such as rows or columns of a block that share draws.  A
+    permuted reshape or a key reused across blocks leaves every row's
+    distribution as it is; TestPoolReplicates in test_montecarlo.py pins
+    the exact layout.
+    """
+    data = DATASETS["regular"]()
+    block = pool_replicates(data, m, reps, seed=303)
+    single = [_pool_once(data, m, stream(404, TAG_REP, r), 0.95) for r in range(reps)]
+    assert_same_distribution(block, single)
 
 
 def test_engine_called_once_per_pooling_with_its_m(monkeypatch):
     """The benchmark counts imputations by wrapping montecarlo.impute_m, so
-    each pooling calls it once, with that pooling's m, looked up per call,
-    on its replication's stream."""
+    every call draws exactly the imputations that get pooled, looked up per
+    call.  A two-stage pooling calls it once, with that pooling's m, on its
+    replication's stream; pool_replicates calls it once per block of
+    replications, each block on its own stream, with at most
+    max(BLOCK_IMPUTATIONS, m) imputations."""
     calls = []
 
     def counting(data, m, rng):
@@ -172,9 +201,14 @@ def test_engine_called_once_per_pooling_with_its_m(monkeypatch):
     assert [m for m, _ in calls] == expected
     assert len({id(rng) for _, rng in calls}) == config.reps
 
-    calls.clear()
     data = gen_incomplete(200, 0.0, 0.35, stream(3, TAG_DATA))
-    pool_replicates(data, 7, 12, seed=3)
-    assert [m for m, _ in calls] == [7] * 12
-    assert len({id(rng) for _, rng in calls}) == 12
-
+    # one block; three blocks with a partial tail; m > 2^16, one replication a block
+    for m, reps, sizes in [(7, 12, [84]), (1000, 150, [65000, 65000, 20000]),
+                           (70000, 3, [70000] * 3)]:
+        calls.clear()
+        pooled = pool_replicates(data, m, reps, seed=3)
+        assert len(pooled.se) == reps
+        assert [size for size, _ in calls] == sizes
+        assert all(size % m == 0 and size <= max(BLOCK_IMPUTATIONS, m) for size in sizes)
+        assert sum(sizes) == reps * m
+        assert len({id(rng) for _, rng in calls}) == len(sizes)

@@ -30,8 +30,9 @@ from miplan import (
     stream,
     summarize_two_stage,
 )
-from miplan.montecarlo import BLOCK_IMPUTATIONS, TAG_DATA, TAG_REP, _pool_once
-from miplan.pooling import PooledReplicates
+from miplan.imputer import draw_mean_variates, mean_analyses
+from miplan.montecarlo import BLOCK_IMPUTATIONS, TAG_DATA, TAG_REP
+from miplan.pooling import PooledReplicates, pool_arrays
 
 from conftest import make_pilot_results
 
@@ -224,20 +225,49 @@ class TestRequiredM:
 
 class TestPoolReplicates:
     def test_blocks_match_per_replication_poolings(self):
-        """Replications pooled a block at a time give, field for field, the
-        poolings of each replication on its own stream."""
+        """Row start + i of a block is the pooling of the i-th run of m
+        variates in that block's one draw, stream(seed, TAG_REP, block, m);
+        the last, partial block is drawn at its own size."""
         data = gen_incomplete(300, 0.3, 0.4, stream(21, TAG_DATA))
         m, reps, seed = 1000, 150, 22
         per_block = BLOCK_IMPUTATIONS // m
         assert reps * m > BLOCK_IMPUTATIONS and reps % per_block != 0
         pooled = pool_replicates(data, m, reps, seed)
         assert pooled.m == m
-        for r in range(reps):
-            single = _pool_once(data, m, stream(seed, TAG_REP, r), 0.9)
-            for f in fields(PooledReplicates):
-                if f.name != "m":
-                    value = getattr(pooled, f.name)[r].item()
-                    assert repr(value) == repr(getattr(single, f.name)), (r, f.name)
+        for b, start in enumerate(range(0, reps, per_block)):
+            count = min(per_block, reps - start)
+            variates = draw_mean_variates(data, count * m, stream(seed, TAG_REP, b, m))
+            for i in range(count):
+                row = (v[i * m:(i + 1) * m] for v in variates)
+                single = pool_arrays(*mean_analyses(data.mean_stats, *row), 0.9)
+                for f in fields(PooledReplicates):
+                    if f.name != "m":
+                        value = getattr(pooled, f.name)[start + i].item()
+                        assert repr(value) == repr(getattr(single, f.name)), (start + i, f.name)
+
+    def test_full_blocks_do_not_depend_on_reps(self):
+        """Rows in full blocks depend only on (seed, m, block): two full
+        blocks are the first rows of a run with a partial third, bit for
+        bit, and the same call twice gives the same columns."""
+        data = gen_incomplete(300, 0.3, 0.4, stream(21, TAG_DATA))
+        m, seed = 1000, 22
+        assert 2 * (BLOCK_IMPUTATIONS // m) == 130
+        longer = pool_replicates(data, m, 150, seed)
+        prefix = pool_replicates(data, m, 130, seed)
+        again = pool_replicates(data, m, 150, seed)
+        for f in fields(PooledReplicates):
+            if f.name != "m":
+                column = getattr(longer, f.name)
+                assert np.array_equal(getattr(prefix, f.name), column[:130]), f.name
+                assert np.array_equal(getattr(again, f.name), column), f.name
+
+    @pytest.mark.parametrize("m", [1, 0, -3])
+    def test_m_below_two_rejected(self, m):
+        """The block draw sees count * m imputations, so pool_replicates
+        checks m itself."""
+        data = gen_incomplete(300, 0.3, 0.4, stream(21, TAG_DATA))
+        with pytest.raises(ValueError, match=rf"^insufficient imputations: need m >= 2, got {m}$"):
+            pool_replicates(data, m, 100, 3)
 
 
 class TestDfReliability:

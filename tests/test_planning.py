@@ -146,7 +146,7 @@ class TestConversions:
         with pytest.raises(ValueError, match="invalid target"):
             cv(-1.0, 0.02)
         for se in (0.0, -0.02, math.nan, math.inf):
-            with pytest.raises(ValueError, match="invalid target: pilot se must be positive"):
+            with pytest.raises(ValueError, match="invalid target: pilot se must be positive and finite"):
                 cv(0.001, se)
 
 
@@ -162,6 +162,9 @@ class TestTargetValidation:
             ReplicabilityTarget("df", 0.5)
         with pytest.raises(ValueError, match="invalid target"):
             ReplicabilityTarget("sd_of_se", 0.0)
+        for kind in ("sd_of_se", "df"):
+            with pytest.raises(ValueError, match="value must be positive and finite, got inf"):
+                ReplicabilityTarget(kind, math.inf)
         ReplicabilityTarget("sd_of_se", 5.0)  # parameter units, may exceed 1
         ReplicabilityTarget("df", 200.0)
 
