@@ -2,13 +2,16 @@
 
 Experiments run on bivariate-normal data with MCAR deletion of the
 outcome.  Randomness comes from streams derived deterministically from
-(seed, tag, *key) via numpy's SeedSequence spawn keys.  A two-stage
-replication has its own stream, keyed by its index, so its result depends
-only on the seed and that index.  ``pool_replicates`` draws a block of
-replications from one stream, keyed by the block's index and m, so a
-replication's result depends on the seed, its index and m (and, in the
-last, partial block, on reps).  Calls with one seed at different m share
-no streams, so their errors are not correlated.
+(seed, tag, *key) via numpy's SeedSequence spawn keys.  ``pool_replicates``
+draws a block of replications from one stream, keyed by the block's index
+and m, so a replication's result depends on the seed, its index and m (and,
+in the last, partial block, on reps).  Calls with one seed at different m
+share no streams, so their errors are not correlated.  The two-stage
+experiment takes its pilots from ``pool_replicates`` at pilot_m, and draws
+the finals of the replications whose pilot falls short in chunks, chunk c
+from stream(seed, TAG_FINAL, c); so a replication's final depends on the
+seed, its own m_required and the m_required of each short replication
+before it.
 """
 
 from __future__ import annotations
@@ -36,21 +39,25 @@ from .planning import (
 from .pooling import PooledAnalysis, PooledReplicates, pool_arrays, pool_rows
 
 # Spawn-key tags keep the dataset, the replications, the search probes,
-# and calibrate_gamma's datasets on disjoint streams of one seed.
+# calibrate_gamma's datasets and the two-stage finals on disjoint streams
+# of one seed.
 TAG_DATA = 0
 TAG_REP = 1
 TAG_PROBE = 2
 TAG_CONFIRM = 3
 TAG_CALIBRATE = 4
+TAG_FINAL = 5
 
 # Every simulated pooling draws the variates of its imputations through this
-# name: once per two-stage pooling, once per block of pool_replicates, and
-# always exactly the imputations that get pooled.  The benchmark counts
-# imputations by wrapping it.
+# name: once per block of pool_replicates, once per chunk of two-stage
+# finals, once per pooling of run_two_stage, and always exactly the
+# imputations that get pooled.  The benchmark counts imputations by
+# wrapping it.
 impute_m = draw_mean_variates
 
-# pool_replicates draws and pools whole replications in blocks of about this
-# many imputations, so its variates take a few MB whatever reps and m are.
+# pool_replicates and the two-stage finals draw and pool whole replications
+# in blocks of about this many imputations, so their variates take a few MB
+# whatever reps and m are.
 BLOCK_IMPUTATIONS = 2**16
 
 
@@ -185,15 +192,61 @@ def run_two_stage_experiment(
     The dataset is held fixed across replications (generated from the
     dedicated data stream when not supplied), so the spread of the final
     SEs estimates their re-imputation variability on this data.
+
+    Each replication has the distribution of ``run_two_stage`` on a fresh
+    stream, but the draws go a block at a time.  The pilots are
+    ``pool_replicates(data, pilot_m, reps, seed)``, and each gets one
+    ``recommend``.  A sufficient pilot doubles as the final and draws
+    nothing.  The other replications, in rep order, are grouped into chunks
+    of at most BLOCK_IMPUTATIONS final imputations (a replication is never
+    split, so a chunk holding one replication can be larger).  Chunk c
+    draws all its imputations from stream(seed, TAG_FINAL, c) in one
+    ``impute_m`` call and gives them one closed-form call; each
+    replication's contiguous run of m_required variates is one pooling.
     """
     if data is None:
         data = gen_incomplete(
             config.n, config.rho, config.missing_fraction, stream(config.seed, TAG_DATA)
         )
+    pilots = pool_replicates(data, config.pilot_m, config.reps, config.seed)
+    stage1 = []
+    for r in range(config.reps):
+        pilot = pilots.analysis(r, config.level)
+        stage1.append((pilot, recommend(pilot, config.target, config.m_max)))
+    finals = iter(_pool_finals(
+        data, [rec.m_required for _, rec in stage1 if not rec.pilot_sufficient],
+        config.seed, config.level,
+    ))
     return [
-        run_two_stage(config, stream(config.seed, TAG_REP, r), data, rep_index=r)
-        for r in range(config.reps)
+        TwoStageRecord(rep_index=r, pilot=pilot, recommendation=rec,
+                       final=pilot if rec.pilot_sufficient else next(finals))
+        for r, (pilot, rec) in enumerate(stage1)
     ]
+
+
+def _pool_finals(
+    data: IncompleteBivariate, ms: list[int], seed: int, level: float
+) -> list[PooledAnalysis]:
+    """One pooling of m fresh imputations for each m in ms, drawn in chunks
+    as ``run_two_stage_experiment`` describes."""
+    chunks: list[list[int]] = []
+    size = 0
+    for m in ms:
+        if chunks and size + m <= BLOCK_IMPUTATIONS:
+            chunks[-1].append(m)
+            size += m
+        else:
+            chunks.append([m])
+            size = m
+    finals = []
+    for c, chunk in enumerate(chunks):
+        variates = impute_m(data, sum(chunk), stream(seed, TAG_FINAL, c))
+        estimates, withins = mean_analyses(data.mean_stats, *variates)
+        end = 0
+        for m in chunk:
+            start, end = end, end + m
+            finals.append(pool_arrays(estimates[start:end], withins[start:end], level))
+    return finals
 
 
 @dataclass(frozen=True)

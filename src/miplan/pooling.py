@@ -98,8 +98,9 @@ class PooledReplicates:
     """Rubin's rules over many poolings of m imputations each, by column.
 
     Entry i of every array is pooling i's field of PooledAnalysis; the
-    intervals, which no measurement uses, are left out.  ``pool_rows`` of
-    one 1-d pooling gives numpy scalars instead of arrays.
+    intervals, which no measurement uses, are left out (``analysis`` adds
+    them for one pooling).  ``pool_rows`` of one 1-d pooling gives numpy
+    scalars instead of arrays.
     """
 
     m: int
@@ -111,6 +112,30 @@ class PooledReplicates:
     gamma_hat: np.ndarray
     gamma_raw: np.ndarray
     df_hat: np.ndarray
+
+    def analysis(self, i: int | None, level: float) -> PooledAnalysis:
+        """Pooling i as a PooledAnalysis, with its gamma and theta intervals
+        at level; i = None takes the scalars of one 1-d pooling."""
+        columns = (self.theta, self.w_bar, self.b, self.v_total, self.se,
+                   self.gamma_hat, self.gamma_raw, self.df_hat)
+        theta, w_bar, b, v_total, se, gamma_hat, gamma_raw, df_hat = map(
+            float, columns if i is None else (c[i] for c in columns))
+        interval = gamma_ci(gamma_hat, self.m, level)
+        half = t_quantile(0.5 * (1.0 + level), df_hat) * se
+        return PooledAnalysis(
+            m=self.m,
+            theta=theta,
+            w_bar=w_bar,
+            b=b,
+            v_total=v_total,
+            se=se,
+            gamma_hat=gamma_hat,
+            gamma_raw=gamma_raw,
+            df_hat=df_hat,
+            gamma_interval=interval,
+            theta_interval=(theta - half, theta + half),
+            level=level,
+        )
 
 
 def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
@@ -169,24 +194,7 @@ def pool_arrays(estimates: np.ndarray, withins: np.ndarray, level: float = 0.95)
     """Rubin's rules over the m estimates and within variances of one
     pooling, with its gamma and theta intervals (``pool_rows`` for one row)."""
     check_level(level)
-    r = pool_rows(estimates, withins)
-    theta, se, gamma_hat, df_hat = float(r.theta), float(r.se), float(r.gamma_hat), float(r.df_hat)
-    interval = gamma_ci(gamma_hat, r.m, level)
-    half = t_quantile(0.5 * (1.0 + level), df_hat) * se
-    return PooledAnalysis(
-        m=r.m,
-        theta=theta,
-        w_bar=float(r.w_bar),
-        b=float(r.b),
-        v_total=float(r.v_total),
-        se=se,
-        gamma_hat=gamma_hat,
-        gamma_raw=float(r.gamma_raw),
-        df_hat=df_hat,
-        gamma_interval=interval,
-        theta_interval=(theta - half, theta + half),
-        level=level,
-    )
+    return pool_rows(estimates, withins).analysis(None, level)
 
 
 def read_results_csv(path: str) -> list[ImputationResult]:

@@ -26,6 +26,7 @@ from miplan import (
     impute_once,
     pool,
     pool_replicates,
+    run_two_stage,
     run_two_stage_experiment,
     stream,
 )
@@ -110,8 +111,8 @@ def reference_replicates(data, m, reps, seed):
     ]
 
 
-# Each KS comparison rejects at ALPHA; 24 comparisons keep the family-wise
-# false-alarm rate under 2.4%.
+# Each KS comparison rejects at ALPHA; 30 comparisons keep the family-wise
+# false-alarm rate under 3%.
 ALPHA = 0.001
 
 
@@ -174,13 +175,44 @@ def test_block_draw_matches_per_replication_draw_in_distribution(m, reps):
     assert_same_distribution(block, single)
 
 
+@pytest.mark.parametrize("pilot_m, cv", [(5, 0.04), (20, 0.075)])
+def test_block_two_stage_matches_per_replication_two_stage_in_distribution(pilot_m, cv):
+    """Two-sample KS on final_se, final_gamma_hat and m_required:
+    run_two_stage_experiment, which draws pilots and finals a block at a
+    time, against run_two_stage once per replication on its own stream, on
+    independent seeds.
+
+    At pilot_m 5 the finals span two chunks; at pilot_m 20 about half the
+    pilots are sufficient and double as the final.  m_required is discrete,
+    and ties make the KS test conservative.  Like the tests above, this
+    guards the block layout against errors that change a replication's
+    distribution (a final drawn from its pilot's variates, or finals that
+    share draws); TestTwoStage in test_montecarlo.py pins the exact layout.
+    """
+    data = DATASETS["regular"]()
+    config = ExperimentConfig(
+        n=data.n, rho=0.5, missing_fraction=0.4, pilot_m=pilot_m,
+        target=ReplicabilityTarget("cv_of_se", cv), reps=1000, seed=505,
+    )
+    block = run_two_stage_experiment(config, data=data)
+    single = [run_two_stage(config, stream(606, TAG_REP, r), data, r) for r in range(config.reps)]
+    for name, value in [("final_se", lambda r: r.final.se),
+                        ("final_gamma_hat", lambda r: r.final.gamma_hat),
+                        ("m_required", lambda r: r.recommendation.m_required)]:
+        p_value = stats.ks_2samp([value(r) for r in block], [value(r) for r in single]).pvalue
+        assert p_value > ALPHA, f"{name}: KS p = {p_value:.2g}"
+
+
 def test_engine_called_once_per_pooling_with_its_m(monkeypatch):
     """The benchmark counts imputations by wrapping montecarlo.impute_m, so
     every call draws exactly the imputations that get pooled, looked up per
-    call.  A two-stage pooling calls it once, with that pooling's m, on its
-    replication's stream; pool_replicates calls it once per block of
-    replications, each block on its own stream, with at most
-    max(BLOCK_IMPUTATIONS, m) imputations."""
+    call.  pool_replicates calls it once per block of replications, each
+    block on its own stream, with at most max(BLOCK_IMPUTATIONS, m)
+    imputations.  The two-stage experiment calls it once per pilot block,
+    as pool_replicates does at pilot_m, then once per chunk of finals, each
+    chunk on its own stream, holding whole replications and at most
+    max(BLOCK_IMPUTATIONS, its largest m) imputations; with every pilot
+    sufficient it draws no final."""
     calls = []
 
     def counting(data, m, rng):
@@ -188,18 +220,37 @@ def test_engine_called_once_per_pooling_with_its_m(monkeypatch):
         return draw_mean_variates(data, m, rng)
 
     monkeypatch.setattr(montecarlo, "impute_m", counting)
-    config = ExperimentConfig(
-        n=200, rho=0.0, missing_fraction=0.35, pilot_m=5,
-        target=ReplicabilityTarget("cv_of_se", 0.2), reps=12, seed=7,
-    )
-    records = run_two_stage_experiment(config)
-    sufficient = [r.recommendation.pilot_sufficient for r in records]
-    assert any(sufficient) and not all(sufficient)
-    expected = []
-    for r in records:
-        expected += [r.pilot.m] if r.recommendation.pilot_sufficient else [r.pilot.m, r.final.m]
-    assert [m for m, _ in calls] == expected
-    assert len({id(rng) for _, rng in calls}) == config.reps
+    # some pilots sufficient and one final chunk; strict targets spread over
+    # several chunks, the last with finals above 2^16 that fill a chunk
+    # alone; pilots of 40,000, one a block, all of them sufficient
+    for pilot_m, cv, reps, m_max, pilot_sizes, sufficient, final_calls in [
+        (5, 0.2, 12, 10_000, [60], 4, 1),
+        (5, 0.006, 12, 10_000, [60], 0, 2),
+        (5, 0.0015, 6, 200_000, [30], 0, 6),
+        (40_000, 0.05, 3, 10_000, [40_000] * 3, 3, 0),
+    ]:
+        config = ExperimentConfig(
+            n=200, rho=0.0, missing_fraction=0.35, pilot_m=pilot_m,
+            target=ReplicabilityTarget("cv_of_se", cv), reps=reps, seed=7, m_max=m_max,
+        )
+        calls.clear()
+        records = run_two_stage_experiment(config)
+        sizes = [size for size, _ in calls]
+        assert sizes[:len(pilot_sizes)] == pilot_sizes
+        finals = [r.final.m for r in records if not r.recommendation.pilot_sufficient]
+        assert sum(sizes) == reps * pilot_m + sum(finals)
+        assert len({id(rng) for _, rng in calls}) == len(calls)
+        # each chunk is a run of whole replications' finals, in rep order
+        for size in sizes[len(pilot_sizes):]:
+            chunk = []
+            while sum(chunk) < size:
+                chunk.append(finals.pop(0))
+            assert sum(chunk) == size and size <= max(BLOCK_IMPUTATIONS, max(chunk))
+        assert finals == []
+        assert sum(r.recommendation.pilot_sufficient for r in records) == sufficient
+        assert len(sizes) == len(pilot_sizes) + final_calls
+        # only the third case draws a chunk above 2^16
+        assert (max(sizes) > BLOCK_IMPUTATIONS) == (m_max > BLOCK_IMPUTATIONS)
 
     data = gen_incomplete(200, 0.0, 0.35, stream(3, TAG_DATA))
     # one block; three blocks with a partial tail; m > 2^16, one replication a block

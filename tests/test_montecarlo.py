@@ -31,7 +31,7 @@ from miplan import (
     summarize_two_stage,
 )
 from miplan.imputer import draw_mean_variates, mean_analyses
-from miplan.montecarlo import BLOCK_IMPUTATIONS, TAG_DATA, TAG_REP
+from miplan.montecarlo import BLOCK_IMPUTATIONS, TAG_DATA, TAG_FINAL, TAG_REP
 from miplan.pooling import PooledReplicates, pool_arrays
 
 from conftest import make_pilot_results
@@ -151,6 +151,45 @@ class TestTwoStage:
         first = run_two_stage_experiment(config)
         second = run_two_stage_experiment(config)
         assert first == second
+
+    @pytest.mark.parametrize("cv, sufficient, chunks", [(0.2, True, 1), (0.005, False, 2)])
+    def test_blocks_match_hand_drawn_stages(self, cv, sufficient, chunks):
+        """The pilots are pool_replicates(data, pilot_m, reps, seed), bit for
+        bit.  The replications whose pilot falls short take, in rep order,
+        consecutive runs of m_required variates from chunk c's one draw on
+        stream(seed, TAG_FINAL, c); a chunk closes before the replication
+        that would take it past BLOCK_IMPUTATIONS."""
+        config = small_config(target=ReplicabilityTarget("cv_of_se", cv), reps=12, level=0.9)
+        data = small_data(config)
+        records = run_two_stage_experiment(config)
+        pilots = pool_replicates(data, config.pilot_m, config.reps, config.seed)
+        for r, record in enumerate(records):
+            for f in fields(PooledReplicates):
+                value = getattr(pilots, f.name)
+                value = value if f.name == "m" else value[r].item()
+                assert repr(getattr(record.pilot, f.name)) == repr(value), (r, f.name)
+            assert record.pilot.level == 0.9
+        assert any(r.recommendation.pilot_sufficient for r in records) == sufficient
+        short = [r for r in records if not r.recommendation.pilot_sufficient]
+        assert short
+        layout = [[]]
+        for record in short:
+            if sum(r.final.m for r in layout[-1]) + record.final.m > BLOCK_IMPUTATIONS:
+                layout.append([])
+            layout[-1].append(record)
+        assert len(layout) == chunks
+        for c, chunk in enumerate(layout):
+            variates = draw_mean_variates(
+                data, sum(r.final.m for r in chunk), stream(config.seed, TAG_FINAL, c))
+            end = 0
+            for record in chunk:
+                start, end = end, end + record.final.m
+                segment = (v[start:end] for v in variates)
+                final = pool_arrays(*mean_analyses(data.mean_stats, *segment), 0.9)
+                assert repr(record.final) == repr(final), record.rep_index
+        for record in records:
+            if record.recommendation.pilot_sufficient:
+                assert record.final is record.pilot
 
 
 class TestSummaries:

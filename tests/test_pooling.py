@@ -204,6 +204,7 @@ def test_pool_rows_is_pool_arrays_row_by_row(data, reps, m, bad):
         for field in KERNEL_FIELDS:
             # repr keeps every float's bits, the sign of zero included
             assert repr(getattr(pooled, field)[r].item()) == repr(getattr(row, field)), field
+        assert repr(pooled.analysis(r, 0.95)) == repr(row)
         # the sums are numpy's own mean and var(ddof=1) of the canonical order
         order = np.lexsort((withins[r], estimates[r]))
         assert repr(row.theta) == repr(float(np.mean(estimates[r][order])))
