@@ -33,7 +33,6 @@ from .montecarlo import (
     FieldSummary,
     TwoStageRecord,
     TwoStageSummary,
-    calibrate_gamma,
     calibrate_missing_fraction,
     curve_data,
     derive_seed,
@@ -60,7 +59,7 @@ from .planning import (
     variance_inflation,
 )
 from .pooling import ImputationResult, PooledAnalysis, PooledReplicates, pool, read_results_csv
-from .quantiles import normal_cdf, normal_quantile, t_cdf, t_quantile
+from .quantiles import normal_quantile, t_quantile
 
 __version__ = "0.1.0"
 
@@ -86,7 +85,6 @@ __all__ = [
     "FieldSummary",
     "TwoStageRecord",
     "TwoStageSummary",
-    "calibrate_gamma",
     "calibrate_missing_fraction",
     "curve_data",
     "derive_seed",
@@ -114,9 +112,7 @@ __all__ = [
     "PooledReplicates",
     "pool",
     "read_results_csv",
-    "normal_cdf",
     "normal_quantile",
-    "t_cdf",
     "t_quantile",
     "__version__",
 ]

@@ -64,14 +64,10 @@ def render_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         body = ",\n".join(
             f"{inner}{json.dumps(str(k))}: {render_json(v, indent + 1)}" for k, v in obj.items()
         )
         return "{\n" + body + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(render_json(v, indent) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int,)):
@@ -300,12 +296,12 @@ def _sim_two_stage(args) -> int:
     )
     rows = [
         (
-            r.rep_index, r.pilot.m, r.pilot.theta, r.pilot.se, r.pilot.gamma_hat, r.pilot.df_hat,
+            rep, r.pilot.m, r.pilot.theta, r.pilot.se, r.pilot.gamma_hat, r.pilot.df_hat,
             r.recommendation.gamma_used, r.recommendation.cv_target,
             r.recommendation.m_required, r.recommendation.pilot_sufficient,
             r.final.m, r.final.theta, r.final.se, r.final.gamma_hat, r.final.df_hat,
         )
-        for r in records
+        for rep, r in enumerate(records)
     ]
     fields = {
         "pilot_m": config.pilot_m,
@@ -315,7 +311,7 @@ def _sim_two_stage(args) -> int:
         "seed": config.seed,
         "level": config.level,
     }
-    fields.update(asdict(summary))  # the summary's "reps" keeps its place above
+    fields.update(asdict(summary))
     _emit_outputs(args, header, rows, fields)
     _note_cap(any(r.recommendation.capped for r in records), args.max_m)
     return 0
@@ -349,23 +345,19 @@ def _sim_curve(args) -> int:
         cvs = _parse_list(args.cvs, float) if args.cvs else [i / 100.0 for i in range(1, 51)]
         text = csv_text(("cv", "df"), df_cv_curve(cvs))
     else:
-        gammas = _parse_list(args.gammas, float)
-        sim = None
-        if args.simulated:
-            reps = args.reps if args.reps is not None else 200
-            seeds = {float(g): derive_seed(args.seed, i) for i, g in enumerate(gammas)}
-
-            def sim(gamma: float) -> int:
-                return simulated_required_m(
-                    gamma, args.cv_target, n=args.n, reps=reps,
-                    seed=seeds[float(gamma)], rho=args.rho,
-                )
-
-        rows = curve_data(gammas, args.cv_target, args.max_m, simulated=sim)
+        rows = curve_data(_parse_list(args.gammas, float), args.cv_target, args.max_m)
         capped = any(r.capped for r in rows)
+        simulated = [None] * len(rows)
+        if args.simulated:  # after curve_data has checked every gamma
+            reps = args.reps if args.reps is not None else 200
+            simulated = [
+                simulated_required_m(r.gamma, args.cv_target, n=args.n, reps=reps,
+                                     seed=derive_seed(args.seed, i), rho=args.rho)
+                for i, r in enumerate(rows)
+            ]
         text = csv_text(
             ("gamma", "m_quadratic", "m_linear", "m_simulated"),
-            [(r.gamma, r.m_quadratic, r.m_linear, r.m_simulated) for r in rows],
+            [(r.gamma, r.m_quadratic, r.m_linear, m) for r, m in zip(rows, simulated)],
         )
     # The curve writes BASE.csv only.
     _write(text, args.out and args.out.removesuffix(".csv") + ".csv")
@@ -411,6 +403,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler = COMMANDS[args.experiment if args.command == "simulate" else args.command]
     try:
         if args.command == "simulate":
+            if args.target is not None and args.experiment != "two-stage":
+                args.usage_error("--target-sd, --target-cv and --target-df are two-stage goals;"
+                                 " curve's goal is --cv-target")
             check_level(args.level)  # every experiment checks it; only two-stage uses it
         code = handler(args)
         sys.stdout.flush()  # a reader that closed stdout shows up here, not at exit

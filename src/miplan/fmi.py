@@ -110,7 +110,6 @@ def table1(
     return [gamma_ci(g, m, level) for g in gammas for m in ms]
 
 
-def round_half_away(x: float, ndigits: int = 2) -> float:
-    """Round half away from zero, the convention used for display tables."""
-    scale = 10.0 ** ndigits
-    return math.copysign(math.floor(abs(x) * scale + 0.5), x) / scale
+def round_half_away(x: float) -> float:
+    """Round to 2 decimals, half away from zero: the display tables' convention."""
+    return math.copysign(math.floor(abs(x) * 100.0 + 0.5), x) / 100.0

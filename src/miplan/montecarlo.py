@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -155,7 +155,6 @@ def _pool_once(
 class TwoStageRecord:
     """One pilot -> recommendation -> final pass over a fixed dataset."""
 
-    rep_index: int
     pilot: PooledAnalysis
     recommendation: Recommendation
     final: PooledAnalysis
@@ -165,7 +164,6 @@ def run_two_stage(
     config: ExperimentConfig,
     rng: np.random.Generator,
     data: IncompleteBivariate,
-    rep_index: int = 0,
 ) -> TwoStageRecord:
     """Run the two-stage procedure once on data, drawing from rng.
 
@@ -180,7 +178,7 @@ def run_two_stage(
         final = pilot
     else:
         final = _pool_once(data, rec.m_required, rng, config.level)
-    return TwoStageRecord(rep_index=rep_index, pilot=pilot, recommendation=rec, final=final)
+    return TwoStageRecord(pilot=pilot, recommendation=rec, final=final)
 
 
 def run_two_stage_experiment(
@@ -218,9 +216,9 @@ def run_two_stage_experiment(
         config.seed, config.level,
     ))
     return [
-        TwoStageRecord(rep_index=r, pilot=pilot, recommendation=rec,
+        TwoStageRecord(pilot=pilot, recommendation=rec,
                        final=pilot if rec.pilot_sufficient else next(finals))
-        for r, (pilot, rec) in enumerate(stage1)
+        for pilot, rec in stage1
     ]
 
 
@@ -270,7 +268,6 @@ class FieldSummary:
 class TwoStageSummary:
     """Across-replication summary of two-stage records."""
 
-    reps: int
     m_required: FieldSummary
     final_m: FieldSummary
     final_estimate: FieldSummary
@@ -286,7 +283,6 @@ def summarize_two_stage(records: Sequence[TwoStageRecord]) -> TwoStageSummary:
         raise ValueError(f"insufficient replications: need at least 2, got {len(records)}")
     ses = np.array([r.final.se for r in records])
     return TwoStageSummary(
-        reps=len(records),
         m_required=FieldSummary.of(np.array([r.recommendation.m_required for r in records])),
         final_m=FieldSummary.of(np.array([r.final.m for r in records])),
         final_estimate=FieldSummary.of(np.array([r.final.theta for r in records])),
@@ -443,7 +439,6 @@ class CurveRow:
     gamma: float
     m_quadratic: int
     m_linear: int
-    m_simulated: int | None = None
     capped: bool = False  # m_quadratic or m_linear was cut to m_max
 
 
@@ -451,13 +446,11 @@ def curve_data(
     gammas: Sequence[float],
     cv_target: float = 0.05,
     m_max: int = DEFAULT_M_MAX,
-    simulated: Callable[[float], int] | None = None,
 ) -> list[CurveRow]:
     """Required-m comparison table: quadratic rule vs the linear rule
-    m = 100 * gamma, with an optional simulated column (see
-    simulated_required_m) for checking which rule tracks reality.  Both
-    rule columns are capped at m_max without a warning; a row's capped
-    field says whether either was cut."""
+    m = 100 * gamma; simulated_required_m gives the m that checks which
+    rule tracks reality.  Both rule columns are capped at m_max without a
+    warning; a row's capped field says whether either was cut."""
     rows = []
     for gamma in gammas:
         m_quadratic, quadratic_uncapped = _capped_count(_se_cv_rule(gamma, cv_target), m_max)
@@ -467,7 +460,6 @@ def curve_data(
                 gamma=float(gamma),
                 m_quadratic=m_quadratic,
                 m_linear=m_linear,
-                m_simulated=None if simulated is None else int(simulated(gamma)),
                 capped=(m_quadratic, m_linear) != (quadratic_uncapped, linear_uncapped),
             )
         )

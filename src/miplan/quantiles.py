@@ -1,22 +1,11 @@
-"""Normal and Student-t quantiles and CDFs from scipy.special's exact routines."""
+"""Normal and Student-t quantiles from scipy.special's exact routines."""
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-from scipy.special import ndtr, ndtri, stdtr, stdtrit
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    return float(ndtr(x))
-
-
-def t_cdf(x: float, df: float) -> float:
-    """CDF of a Student-t variate with ``df`` degrees of freedom; accepts non-integer df."""
-    _check_df(df)
-    return float(stdtr(df, x))
+from scipy.special import ndtri, stdtrit
 
 
 def _check_p(p: float) -> None:
@@ -32,8 +21,8 @@ def _check_df(df: float) -> None:
 def t_quantile(p: float, df: float) -> float:
     """Quantile of the t distribution with ``df`` degrees of freedom.
 
-    Returns x with t_cdf(x, df) = p.  Raises ValueError for p outside
-    (0, 1) or df not > 0 (NaN included).
+    Returns x with P(T <= x) = p for T ~ t(df); df need not be an integer.
+    Raises ValueError for p outside (0, 1) or df not > 0 (NaN included).
     """
     _check_p(p)
     _check_df(df)

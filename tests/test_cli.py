@@ -315,6 +315,37 @@ class TestSimulate:
             "--max-m", "10000000000000", "--reps", "2",
         ]), "Unable to allocate")
 
+    @pytest.mark.parametrize("experiment", ["curve", "cv-check", "df-reliability"])
+    def test_target_flag_outside_two_stage_is_a_usage_error(self, capsys, experiment):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--experiment", experiment, "--target-cv", "0.2"])
+        lines = capsys.readouterr().err.splitlines()
+        assert exc.value.code == 2
+        assert lines[0].startswith("usage: miplan simulate [-h] --experiment")
+        assert lines[-1].startswith("miplan simulate: error: ")
+        assert "curve's goal is --cv-target" in lines[-1]
+
+    def test_curve_simulated_seeds_each_row_by_its_index(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "simulate", "--experiment", "curve", "--simulated", "--gammas", "0.5,0.5",
+            "--n", "300", "--reps", "100", "--seed", "7",
+        ])
+        expected = [
+            montecarlo.simulated_required_m(0.5, 0.05, n=300, reps=100,
+                                            seed=montecarlo.derive_seed(7, i))
+            for i in (0, 1)
+        ]
+        assert code == 0
+        assert [int(line.split(",")[3]) for line in out.splitlines()[1:]] == expected
+
+    def test_curve_checks_every_gamma_before_simulating(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "simulated_required_m", lambda *a, **k: calls.append(a) or 2)
+        assert_one_error_line(run_cli(capsys, [
+            "simulate", "--experiment", "curve", "--gammas", "0.5,1.5", "--simulated",
+        ]), "gamma")
+        assert calls == []
+
     def test_curve_simulated_without_rows_exits_one(self, capsys):
         assert_one_error_line(run_cli(capsys, [
             "simulate", "--experiment", "curve", "--simulated", "--gammas", "0.5", "--n", "0",
@@ -478,7 +509,7 @@ def test_version_flag():
 
 
 def test_render_json_floats():
-    text = cli.render_json({"a": 0.75, "b": 2, "ok": True, "missing": None, "list": [1.5, 2]})
+    text = cli.render_json({"a": 0.75, "b": 2, "ok": True, "missing": None})
     parsed = json.loads(text)
-    assert parsed == {"a": 0.75, "b": 2, "ok": True, "missing": None, "list": [1.5, 2]}
+    assert parsed == {"a": 0.75, "b": 2, "ok": True, "missing": None}
     assert '"a": 0.75' in text

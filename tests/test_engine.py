@@ -195,7 +195,7 @@ def test_block_two_stage_matches_per_replication_two_stage_in_distribution(pilot
         target=ReplicabilityTarget("cv_of_se", cv), reps=1000, seed=505,
     )
     block = run_two_stage_experiment(config, data=data)
-    single = [run_two_stage(config, stream(606, TAG_REP, r), data, r) for r in range(config.reps)]
+    single = [run_two_stage(config, stream(606, TAG_REP, r), data) for r in range(config.reps)]
     for name, value in [("final_se", lambda r: r.final.se),
                         ("final_gamma_hat", lambda r: r.final.gamma_hat),
                         ("m_required", lambda r: r.recommendation.m_required)]:

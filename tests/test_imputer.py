@@ -9,12 +9,12 @@ from miplan import (
     CompletedDataset,
     IncompleteBivariate,
     analyze_mean,
-    calibrate_gamma,
     fit_and_draw,
     gen_incomplete,
     impute_m,
     impute_once,
 )
+from miplan.montecarlo import calibrate_gamma
 
 
 def line_data():

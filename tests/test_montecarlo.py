@@ -13,7 +13,6 @@ from miplan import (
     ExperimentConfig,
     ReplicabilityTarget,
     TwoStageRecord,
-    calibrate_gamma,
     calibrate_missing_fraction,
     curve_data,
     derive_seed,
@@ -31,7 +30,7 @@ from miplan import (
     summarize_two_stage,
 )
 from miplan.imputer import draw_mean_variates, mean_analyses
-from miplan.montecarlo import BLOCK_IMPUTATIONS, TAG_DATA, TAG_FINAL, TAG_REP
+from miplan.montecarlo import BLOCK_IMPUTATIONS, TAG_DATA, TAG_FINAL, TAG_REP, calibrate_gamma
 from miplan.pooling import PooledReplicates, pool_arrays
 
 from conftest import make_pilot_results
@@ -186,34 +185,34 @@ class TestTwoStage:
                 start, end = end, end + record.final.m
                 segment = (v[start:end] for v in variates)
                 final = pool_arrays(*mean_analyses(data.mean_stats, *segment), 0.9)
-                assert repr(record.final) == repr(final), record.rep_index
+                assert repr(record.final) == repr(final)
         for record in records:
             if record.recommendation.pilot_sufficient:
                 assert record.final is record.pilot
 
 
 class TestSummaries:
-    def dummy_record(self, rep, gamma, se):
+    def dummy_record(self, gamma, se):
         pilot = pool(make_pilot_results(5, gamma, se))
         rec = recommend(pilot, ReplicabilityTarget("cv_of_se", 0.5))
-        return TwoStageRecord(rep_index=rep, pilot=pilot, recommendation=rec, final=pilot)
+        return TwoStageRecord(pilot=pilot, recommendation=rec, final=pilot)
 
     def test_identical_records_have_zero_sd(self):
-        record = self.dummy_record(0, 0.3, 0.02)
+        record = self.dummy_record(0.3, 0.02)
         summary = summarize_two_stage([record, record])
         assert summary.final_se.sd == 0.0
         assert summary.achieved_sd_of_se == 0.0
         assert summary.final_m.min == summary.final_m.max
 
     def test_two_record_sd_hand_value(self):
-        records = [self.dummy_record(0, 0.3, 0.021), self.dummy_record(1, 0.3, 0.023)]
+        records = [self.dummy_record(0.3, 0.021), self.dummy_record(0.3, 0.023)]
         summary = summarize_two_stage(records)
         assert summary.achieved_sd_of_se == pytest.approx(0.001414, abs=1e-6)
         assert summary.final_se.mean == pytest.approx(0.022, rel=1e-9)
 
     def test_needs_two_records(self):
         with pytest.raises(ValueError, match="insufficient replications"):
-            summarize_two_stage([self.dummy_record(0, 0.3, 0.02)])
+            summarize_two_stage([self.dummy_record(0.3, 0.02)])
 
 
 class TestEmpiricalCv:
@@ -342,7 +341,6 @@ class TestCurves:
         assert (rows[0.5].m_quadratic, rows[0.5].m_linear) == (51, 50)
         assert (rows[0.9].m_quadratic, rows[0.9].m_linear) == (163, 90)
         assert (rows[0.1].m_quadratic, rows[0.1].m_linear) == (3, 10)
-        assert rows[0.5].m_simulated is None
 
     def test_cap_flagged_without_warning(self):
         with warnings.catch_warnings():
@@ -353,10 +351,6 @@ class TestCurves:
         ]
         with pytest.raises(ValueError, match="domain error: m_max"):
             curve_data([0.5], 0.05, m_max=-3)
-
-    def test_simulated_hook(self):
-        rows = curve_data([0.2, 0.4], 0.05, simulated=lambda g: int(round(100 * g)))
-        assert [r.m_simulated for r in rows] == [20, 40]
 
     def test_df_cv_curve(self):
         pairs = dict(df_cv_curve([0.05, 0.1]))

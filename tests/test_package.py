@@ -1,13 +1,18 @@
-"""Package metadata: the public names resolve and the version matches pyproject.toml."""
+"""Package metadata: the public names resolve, the version matches
+pyproject.toml, and every package name the benchmark uses exists."""
 
 from __future__ import annotations
 
+import importlib.util
 import re
 from pathlib import Path
 
 import miplan
+from miplan import cli, montecarlo
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+PERFBENCH = ROOT / "perfbench"
 
 
 def project_version(text: str) -> str:
@@ -32,3 +37,30 @@ def test_version_matches_pyproject():
 def test_project_version_reads_only_the_project_table():
     text = '[tool.x]\nversion = "9"\n\n[project]\nname = "a"\nversion = "1.2"\n\n[b]\nversion = "3"\n'
     assert project_version(text) == "1.2"
+
+
+def load_perfbench(name, monkeypatch):
+    """perfbench/<name>.py as a module, without installing anything it defines."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports oracle by name
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_names_resolve(monkeypatch, tmp_path):
+    """Every function the benchmark traces or reads a cache of, the
+    imputation hook it wraps, and the argv of its CLI workloads."""
+    tracer = load_perfbench("tracer", monkeypatch)
+    for module, func in tracer.TRACED:
+        assert callable(getattr(importlib.import_module(f"miplan.{module}"), func, None)), func
+    for name in tracer.CACHED:
+        module, func = name.split(".")
+        assert hasattr(getattr(importlib.import_module(f"miplan.{module}"), func), "cache_info"), name
+    assert callable(montecarlo.impute_m)
+    workloads = load_perfbench("workloads", monkeypatch)
+    parser = cli.build_parser()
+    for workload in ("two_stage_small_n", "required_m_search"):
+        argv = workloads.make_inputs(workload, 1, str(tmp_path))["argv"]
+        args = parser.parse_args([*argv, "--seed", "1", "--out", "X"])
+        assert (args.command, args.seed, args.out) == ("simulate", 1, "X")
