@@ -398,15 +398,33 @@ COMMANDS = {
 _PARSER = build_parser()
 
 
+def check_args(args) -> None:
+    """The checks of parsed flags that argparse cannot make, run before any
+    command: a target or curve flag that the chosen experiment would ignore
+    is a usage error (exit 2); a level outside (0, 1) raises ValueError."""
+    if args.command != "simulate":
+        return
+    if args.target is not None and args.experiment != "two-stage":
+        args.usage_error("--target-sd, --target-cv and --target-df are two-stage goals;"
+                         " curve's goal is --cv-target")
+    curve_flags = [flag for flag, given in (("--simulated", args.simulated),
+                                            ("--df-curve", args.df_curve),
+                                            ("--cvs", args.cvs)) if given]
+    if curve_flags and args.experiment != "curve":
+        args.usage_error(f"{curve_flags[0]} is a curve flag; {args.experiment} does not read it")
+    if args.simulated and args.df_curve:
+        args.usage_error("--simulated adds a column to the rule comparison,"
+                         " which --df-curve replaces")
+    if args.cvs and not args.df_curve:
+        args.usage_error("--cvs is the cv grid of --df-curve")
+    check_level(args.level)  # every experiment checks it; only two-stage uses it
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     handler = COMMANDS[args.experiment if args.command == "simulate" else args.command]
     try:
-        if args.command == "simulate":
-            if args.target is not None and args.experiment != "two-stage":
-                args.usage_error("--target-sd, --target-cv and --target-df are two-stage goals;"
-                                 " curve's goal is --cv-target")
-            check_level(args.level)  # every experiment checks it; only two-stage uses it
+        check_args(args)
         code = handler(args)
         sys.stdout.flush()  # a reader that closed stdout shows up here, not at exit
         return code

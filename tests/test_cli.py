@@ -325,6 +325,25 @@ class TestSimulate:
         assert lines[-1].startswith("miplan simulate: error: ")
         assert "curve's goal is --cv-target" in lines[-1]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["curve", "--df-curve", "--simulated", "--cvs", "0.1"],
+         "--simulated adds a column to the rule comparison, which --df-curve replaces"),
+        (["curve", "--cvs", "0.1"], "--cvs is the cv grid of --df-curve"),
+        (["curve", "--simulated", "--cvs", "0.1"], "--cvs is the cv grid of --df-curve"),
+        (["cv-check", "--simulated"], "--simulated is a curve flag; cv-check does not read it"),
+        (["two-stage", "--target-cv", "0.1", "--df-curve"],
+         "--df-curve is a curve flag; two-stage does not read it"),
+        (["df-reliability", "--cvs", "0.1"],
+         "--cvs is a curve flag; df-reliability does not read it"),
+    ])
+    def test_curve_flag_that_would_be_ignored_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--experiment", *argv])
+        lines = capsys.readouterr().err.splitlines()
+        assert exc.value.code == 2
+        assert lines[0].startswith("usage: miplan simulate [-h] --experiment")
+        assert lines[-1] == f"miplan simulate: error: {message}"
+
     def test_curve_simulated_seeds_each_row_by_its_index(self, capsys):
         code, out, _ = run_cli(capsys, [
             "simulate", "--experiment", "curve", "--simulated", "--gammas", "0.5,0.5",

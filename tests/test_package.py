@@ -50,7 +50,8 @@ def load_perfbench(name, monkeypatch):
 
 def test_benchmark_names_resolve(monkeypatch, tmp_path):
     """Every function the benchmark traces or reads a cache of, the
-    imputation hook it wraps, and the argv of its CLI workloads."""
+    imputation hook it wraps, and the argv of its CLI workloads, which
+    must parse and pass the checks ``main`` makes before any command."""
     tracer = load_perfbench("tracer", monkeypatch)
     for module, func in tracer.TRACED:
         assert callable(getattr(importlib.import_module(f"miplan.{module}"), func, None)), func
@@ -64,3 +65,4 @@ def test_benchmark_names_resolve(monkeypatch, tmp_path):
         argv = workloads.make_inputs(workload, 1, str(tmp_path))["argv"]
         args = parser.parse_args([*argv, "--seed", "1", "--out", "X"])
         assert (args.command, args.seed, args.out) == ("simulate", 1, "X")
+        cli.check_args(args)

@@ -10,7 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from miplan import GAMMA_EPS, ImputationResult, pool, read_results_csv
+from miplan import GAMMA_EPS, ImputationResult, gen_incomplete, pool, read_results_csv, stream
+from miplan.imputer import draw_mean_variates, mean_analyses
+from miplan.montecarlo import TAG_DATA, TAG_REP
 from miplan.pooling import pool_arrays, pool_rows
 
 
@@ -210,6 +212,71 @@ def test_pool_rows_is_pool_arrays_row_by_row(data, reps, m, bad):
         assert repr(row.theta) == repr(float(np.mean(estimates[r][order])))
         assert repr(row.b) == repr(float(np.var(estimates[r][order], ddof=1)))
         assert repr(row.w_bar) == repr(float(np.mean(withins[r][order])))
+
+
+def engine_block(reps, m, seed=1515):
+    """The estimates and within variances of reps engine poolings of m,
+    as one required-m probe block draws them (n = 2000, half of y missing)."""
+    data = gen_incomplete(2000, 0.0, 0.5, stream(seed, TAG_DATA))
+    variates = draw_mean_variates(data, reps * m, stream(seed, TAG_REP, 0, m))
+    return mean_analyses(data.mean_stats, *(v.reshape(reps, m) for v in variates))
+
+
+def assert_pooled_in_lexsort_order(estimates, withins):
+    """pool_rows of the block is, field by field and bit for bit, each row
+    pooled alone after sorting it by (estimate, within variance)."""
+    pooled = pool_rows(estimates, withins)
+    for r, (e, w) in enumerate(zip(estimates, withins)):
+        order = np.lexsort((w, e))
+        alone = pool_rows(e[order], w[order])
+        for field in KERNEL_FIELDS:
+            assert repr(getattr(pooled, field)[r].item()) == repr(getattr(alone, field).item())
+
+
+@pytest.mark.parametrize("reps, m", [(200, 54), (200, 169), (2000, 20)])
+def test_engine_block_pools_in_lexsort_order(reps, m):
+    assert_pooled_in_lexsort_order(*engine_block(reps, m))
+
+
+# Rows with a tie.  In the first two, the order among equal estimates
+# changes w_bar's bits: summed in lexsort order the two withins of 1.0 come
+# before 1e16 and survive its rounding; summed 1e16 first, they are lost.
+TIED_ROWS = {
+    "tied estimates": ([0.0, 0.0, -1.0], [1e16, 1.0, 1.0]),
+    "signed zeros": ([0.0, -0.0, -1.0], [1e16, 1.0, 1.0]),
+    # a dataset with no missing y gives every imputation the same analysis
+    "all equal": ([2.5, 2.5, 2.5], [0.25, 0.25, 0.25]),
+}
+
+
+@pytest.mark.parametrize("tied", sorted(TIED_ROWS))
+def test_block_with_a_tie_pools_in_lexsort_order(tied):
+    estimates = np.array([[3.0, 1.0, 2.0], TIED_ROWS[tied][0], [-5.0, 4.0, 0.5]])
+    withins = np.array([[1.0, 2.0, 3.0], TIED_ROWS[tied][1], [0.5, 0.5, 0.5]])
+    assert_pooled_in_lexsort_order(estimates, withins)
+
+
+def test_lexsort_only_for_one_row_or_a_tie(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+
+    def counting_lexsort(keys, axis=-1):
+        calls.append(np.shape(keys))
+        return lexsort(keys, axis=axis)
+
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    estimates, withins = engine_block(200, 54)
+    pool_rows(estimates, withins)
+    assert calls == []
+    tied = estimates.copy()
+    tied[7, 3] = tied[7, 11]
+    pool_rows(tied, withins)
+    assert calls == [(2, 200, 54)]
+    calls.clear()
+    pool_rows(estimates[0], withins[0])
+    pool_arrays(estimates[0], withins[0])
+    pool([(1.0, 0.5), (2.0, 0.5), (3.0, 0.5)])
+    assert calls == [(2, 54), (2, 54), (2, 3)]
 
 
 def test_accepts_result_objects_and_pairs():
