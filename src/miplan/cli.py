@@ -20,7 +20,7 @@ from dataclasses import asdict
 from typing import Sequence
 
 from . import __version__
-from .fmi import check_level, round_half_away, table1
+from .fmi import round_half_away, table1
 from .montecarlo import (
     ExperimentConfig,
     curve_data,
@@ -37,8 +37,8 @@ from .pooling import pool, read_results_csv
 
 DEFAULT_SEED = 31415
 
-# Each target flag's ReplicabilityTarget kind and its help text under plan.
-# simulate takes every flag but --target-vcv, without help text.
+# Each target flag's ReplicabilityTarget kind and its help text.
+# simulate --experiment two-stage takes every flag but --target-vcv.
 TARGET_FLAGS = {
     "--target-sd": ("sd_of_se", "goal for the SD of the pooled SE across re-imputations"),
     "--target-cv": ("cv_of_se", "goal for the CV of the pooled SE"),
@@ -108,11 +108,11 @@ def _parse_list(text: str, kind: type) -> list:
 
 
 def _add_target_flags(p: argparse.ArgumentParser, plan: bool) -> None:
-    group = p.add_mutually_exclusive_group(required=plan)
+    group = p.add_mutually_exclusive_group(required=True)
     for flag, (kind, text) in TARGET_FLAGS.items():
         if plan or kind != "cv_of_variance":
             group.add_argument(flag, type=float, metavar="X", dest="target",
-                               action=_TargetAction, help=text if plan else None)
+                               action=_TargetAction, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,12 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pool", help="pool per-imputation results with Rubin's rules")
+    p.set_defaults(handler=cmd_pool)
     p.add_argument("--in", dest="infile", required=True, metavar="CSV",
                    help="CSV with header imputation,estimate,variance")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("plan", help="recommend the number of imputations from a pilot")
+    p.set_defaults(handler=cmd_plan)
     p.add_argument("--pilot", required=True, metavar="CSV",
                    help="pilot results CSV (same format as pool --in)")
     _add_target_flags(p, plan=True)
@@ -138,38 +140,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("table1", help="confidence-interval table for the fraction of missing information")
+    p.set_defaults(handler=cmd_table1)
     p.add_argument("--gammas", default="0.1,0.3,0.5,0.7,0.9")
     p.add_argument("--ms", default="5,10,15,20")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--format", choices=("csv", "text"), default="csv")
 
-    p = sub.add_parser("simulate", help="Monte Carlo experiments on synthetic incomplete data")
-    p.add_argument("--experiment", required=True,
-                   choices=("two-stage", "cv-check", "curve", "df-reliability"))
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--missing", type=float, default=0.5)
-    p.add_argument("--pilot-m", type=int, default=5)
-    _add_target_flags(p, plan=False)
-    p.add_argument("--reps", type=int, default=None,
-                   help="replications (default: 100 two-stage, 2000 cv-check, 200 curve probes, 1000 df-reliability)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", metavar="BASE", help="write BASE.csv (records) and BASE.json (summary)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="kept for compatibility with existing scripts; has no effect")
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--max-m", type=int, default=DEFAULT_M_MAX)
-    p.add_argument("--m", type=int, default=20, help="imputations per replication (cv-check)")
-    p.add_argument("--cv-target", type=float, default=0.05, help="SE CV target (curve)")
-    p.add_argument("--gammas", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", help="curve grid")
-    p.add_argument("--simulated", action="store_true",
-                   help="add the simulated required-m column to the curve (slow)")
-    p.add_argument("--df-threshold", type=float, default=100.0)
-    p.add_argument("--df-curve", action="store_true",
-                   help="emit the df-vs-cv tradeoff curve instead of the rule comparison")
-    p.add_argument("--cvs", default="", help="comma list of cv values for --df-curve")
-    p.set_defaults(usage_error=p.error)  # for the flag checks argparse cannot make
+    # Only --experiment: parse_args hands the rest to that experiment's parser.
+    p = sub.add_parser("simulate", help="Monte Carlo experiments on synthetic incomplete data",
+                       add_help=False, allow_abbrev=False)
+    p.add_argument("--experiment", choices=EXPERIMENTS)
     return parser
 
 
@@ -272,17 +253,14 @@ def cmd_table1(args) -> int:
 
 
 def _sim_two_stage(args) -> int:
-    if args.target is None:
-        args.usage_error("two-stage needs one of --target-sd, --target-cv, --target-df")
     target = ReplicabilityTarget(*args.target)
-    reps = args.reps if args.reps is not None else 100
     config = ExperimentConfig(
         n=args.n,
         rho=args.rho,
         missing_fraction=args.missing,
         pilot_m=args.pilot_m,
         target=target,
-        reps=reps,
+        reps=args.reps,
         seed=args.seed,
         level=args.level,
         m_max=args.max_m,
@@ -318,16 +296,15 @@ def _sim_two_stage(args) -> int:
 
 
 def _sim_cv_check(args) -> int:
-    reps = args.reps if args.reps is not None else 2000
-    pooled = pool_fixed_dataset(args.n, args.rho, args.missing, args.m, reps, args.seed)
+    pooled = pool_fixed_dataset(args.n, args.rho, args.missing, args.m, args.reps, args.seed)
     result = empirical_cv_of(pooled)
     header = ("rep", "estimate", "se", "v_total", "gamma_hat", "df_hat")
     columns = (pooled.theta, pooled.se, pooled.v_total, pooled.gamma_hat, pooled.df_hat)
-    rows = list(zip(range(reps), *(c.tolist() for c in columns)))
+    rows = list(zip(range(args.reps), *(c.tolist() for c in columns)))
     predicted = result.mean_gamma_hat * math.sqrt(2.0 / (args.m - 1))
     _emit_outputs(args, header, rows, {
         "m": args.m,
-        "reps": reps,
+        "reps": args.reps,
         "seed": args.seed,
         "cv_v": result.cv_v,
         "cv_se": result.cv_se,
@@ -340,18 +317,19 @@ def _sim_cv_check(args) -> int:
 
 
 def _sim_curve(args) -> int:
+    if args.cvs is not None and not args.df_curve:
+        _EXPERIMENT_PARSERS["curve"].error("--cvs is the cv grid of --df-curve")
     capped = False
     if args.df_curve:
-        cvs = _parse_list(args.cvs, float) if args.cvs else [i / 100.0 for i in range(1, 51)]
+        cvs = [i / 100.0 for i in range(1, 51)] if args.cvs is None else _parse_list(args.cvs, float)
         text = csv_text(("cv", "df"), df_cv_curve(cvs))
     else:
         rows = curve_data(_parse_list(args.gammas, float), args.cv_target, args.max_m)
         capped = any(r.capped for r in rows)
         simulated = [None] * len(rows)
         if args.simulated:  # after curve_data has checked every gamma
-            reps = args.reps if args.reps is not None else 200
             simulated = [
-                simulated_required_m(r.gamma, args.cv_target, n=args.n, reps=reps,
+                simulated_required_m(r.gamma, args.cv_target, n=args.n, reps=args.reps,
                                      seed=derive_seed(args.seed, i), rho=args.rho)
                 for i, r in enumerate(rows)
             ]
@@ -369,63 +347,102 @@ def _sim_df_reliability(args) -> int:
     if not math.isfinite(args.df_threshold):
         # df_hat > nan is never true, so the fraction would read 0.
         raise ValueError(f"domain error: df threshold must be finite, got {args.df_threshold!r}")
-    reps = args.reps if args.reps is not None else 1000
-    pooled = pool_fixed_dataset(args.n, args.rho, args.missing, args.pilot_m, reps, args.seed)
+    pooled = pool_fixed_dataset(args.n, args.rho, args.missing, args.pilot_m, args.reps, args.seed)
     exceeds = (pooled.df_hat > args.df_threshold).tolist()
     header = ("rep", "gamma_hat", "df_hat", "exceeds_threshold")
-    rows = list(zip(range(reps), pooled.gamma_hat.tolist(), pooled.df_hat.tolist(), exceeds))
+    rows = list(zip(range(args.reps), pooled.gamma_hat.tolist(), pooled.df_hat.tolist(), exceeds))
     _emit_outputs(args, header, rows, {
         "pilot_m": args.pilot_m,
         "df_threshold": args.df_threshold,
-        "reps": reps,
+        "reps": args.reps,
         "seed": args.seed,
-        "fraction_above_threshold": sum(exceeds) / reps,
+        "fraction_above_threshold": sum(exceeds) / args.reps,
     })
     return 0
 
 
-COMMANDS = {
-    "pool": cmd_pool,
-    "plan": cmd_plan,
-    "table1": cmd_table1,
-    "two-stage": _sim_two_stage,
-    "cv-check": _sim_cv_check,
-    "curve": _sim_curve,
-    "df-reliability": _sim_df_reliability,
+# Each simulate experiment's handler, --reps default and summary.
+EXPERIMENTS = {
+    "two-stage": (_sim_two_stage, 100, "the paper's two-stage procedure: pilot, recommended m, final"),
+    "cv-check": (_sim_cv_check, 2000, "spread of the pooled variance and SE across re-imputations"),
+    "curve": (_sim_curve, 200, "required m by the quadratic rule and by the rule m = 100 gamma"),
+    "df-reliability": (_sim_df_reliability, 1000, "how often a pilot's df estimate passes a df threshold"),
 }
+
+
+def build_experiment_parsers() -> dict[str | None, argparse.ArgumentParser]:
+    """The parser of each simulate experiment, holding only the flags that
+    experiment reads, so that any other flag is a usage error (exit 2); under
+    None, the parser of simulate without --experiment, whose help lists them."""
+    parsers = {None: argparse.ArgumentParser(
+        prog="miplan simulate", description="Monte Carlo experiments on synthetic incomplete data.",
+        epilog="experiments (simulate --experiment X --help lists the flags of X):\n"
+        + "".join(f"  {name:16}{summary}\n" for name, (_, _, summary) in EXPERIMENTS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False,
+    )}
+    parsers[None].add_argument("--experiment", required=True, choices=EXPERIMENTS)
+    for name, (handler, reps, summary) in EXPERIMENTS.items():
+        p = parsers[name] = argparse.ArgumentParser(
+            prog="miplan simulate", description=summary,
+            # Usage and help name the experiment; error lines read "miplan simulate: error: ...".
+            formatter_class=lambda prog, name=name: argparse.HelpFormatter(f"{prog} --experiment {name}"),
+            # Under an abbreviation, --m would read as --missing or --max-m where --m is not a flag.
+            allow_abbrev=False,
+        )
+        p.set_defaults(handler=handler)
+        p.add_argument("--n", type=int, default=2000)
+        p.add_argument("--rho", type=float, default=0.0)
+        if name != "curve":
+            p.add_argument("--missing", type=float, default=0.5)
+        p.add_argument("--reps", type=int, default=reps, help="replications (default: %(default)s)")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--out", metavar="BASE", help="write BASE.csv" if name == "curve"
+                       else "write BASE.csv (records) and BASE.json (summary)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="kept for compatibility with existing scripts; has no effect")
+    p = parsers["two-stage"]
+    p.add_argument("--pilot-m", type=int, default=5)
+    _add_target_flags(p, plan=False)
+    p.add_argument("--level", type=float, default=0.95, help="level of every pooling")
+    p.add_argument("--max-m", type=int, default=DEFAULT_M_MAX)
+    parsers["cv-check"].add_argument("--m", type=int, default=20, help="imputations per replication")
+    p = parsers["df-reliability"]
+    p.add_argument("--pilot-m", type=int, default=5)
+    p.add_argument("--df-threshold", type=float, default=100.0)
+    p = parsers["curve"]
+    p.epilog = ("--n, --rho, --seed and --reps are read only with --simulated;"
+                " with --df-curve, only --cvs and --out are read.")
+    p.add_argument("--gammas", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", help="gamma grid")
+    p.add_argument("--cv-target", type=float, default=0.05, help="SE CV target")
+    p.add_argument("--max-m", type=int, default=DEFAULT_M_MAX)
+    column = p.add_mutually_exclusive_group()
+    column.add_argument("--simulated", action="store_true",
+                        help="add the simulated required-m column to the curve (slow)")
+    column.add_argument("--df-curve", action="store_true",
+                        help="emit the df-vs-cv tradeoff curve instead of the rule comparison")
+    p.add_argument("--cvs", help="comma list of cv values for --df-curve (default: 0.01 to 0.5)")
+    return parsers
+
 
 # Built once per process: building takes about as long as a whole plan run.
 _PARSER = build_parser()
+_EXPERIMENT_PARSERS = build_experiment_parsers()
 
 
-def check_args(args) -> None:
-    """The checks of parsed flags that argparse cannot make, run before any
-    command: a target or curve flag that the chosen experiment would ignore
-    is a usage error (exit 2); a level outside (0, 1) raises ValueError."""
-    if args.command != "simulate":
-        return
-    if args.target is not None and args.experiment != "two-stage":
-        args.usage_error("--target-sd, --target-cv and --target-df are two-stage goals;"
-                         " curve's goal is --cv-target")
-    curve_flags = [flag for flag, given in (("--simulated", args.simulated),
-                                            ("--df-curve", args.df_curve),
-                                            ("--cvs", args.cvs)) if given]
-    if curve_flags and args.experiment != "curve":
-        args.usage_error(f"{curve_flags[0]} is a curve flag; {args.experiment} does not read it")
-    if args.simulated and args.df_curve:
-        args.usage_error("--simulated adds a column to the rule comparison,"
-                         " which --df-curve replaces")
-    if args.cvs and not args.df_curve:
-        args.usage_error("--cvs is the cv grid of --df-curve")
-    check_level(args.level)  # every experiment checks it; only two-stage uses it
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """Parse a command line; simulate's flags but --experiment X go to X's parser."""
+    args, rest = _PARSER.parse_known_args(argv)
+    if args.command == "simulate":
+        return _EXPERIMENT_PARSERS[args.experiment].parse_args(rest, args)
+    if rest:
+        _PARSER.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
-    handler = COMMANDS[args.experiment if args.command == "simulate" else args.command]
+    args = parse_args(argv)
     try:
-        check_args(args)
-        code = handler(args)
+        code = args.handler(args)
         sys.stdout.flush()  # a reader that closed stdout shows up here, not at exit
         return code
     except BrokenPipeError:

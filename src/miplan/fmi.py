@@ -101,7 +101,10 @@ def table1(
     """Grid of gamma confidence intervals, one per (gamma, m), row-major.
 
     Every gamma must lie in [GAMMA_EPS, 1 - GAMMA_EPS]; unlike a pooled
-    estimate, it is not clamped, so a gamma outside is rejected."""
+    estimate, it is not clamped, so a gamma outside is rejected, and so is
+    an empty grid."""
+    if len(gammas) == 0 or len(ms) == 0:
+        raise ValueError("domain error: table1 needs at least one gamma and one m")
     for g in gammas:
         if not GAMMA_EPS <= g <= 1.0 - GAMMA_EPS:
             raise ValueError(

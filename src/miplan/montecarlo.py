@@ -451,6 +451,8 @@ def curve_data(
     m = 100 * gamma; simulated_required_m gives the m that checks which
     rule tracks reality.  Both rule columns are capped at m_max without a
     warning; a row's capped field says whether either was cut."""
+    if len(gammas) == 0:
+        raise ValueError("domain error: curve needs at least one gamma")
     rows = []
     for gamma in gammas:
         m_quadratic, quadratic_uncapped = _capped_count(_se_cv_rule(gamma, cv_target), m_max)
@@ -468,6 +470,8 @@ def curve_data(
 
 def df_cv_curve(cvs: Sequence[float]) -> list[tuple[float, float]]:
     """(cv, df) pairs tracing df = 1 / (2 cv^2), the SE-stability tradeoff."""
+    if len(cvs) == 0:
+        raise ValueError("domain error: df curve needs at least one cv")
     for cv in cvs:
         _check_unit_interval("cv", cv)
     return [(float(cv), df_for_cv(cv)) for cv in cvs]

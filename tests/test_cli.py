@@ -40,6 +40,17 @@ def assert_one_error_line(result, *fragments):
         assert fragment in err
 
 
+def assert_usage_error(capsys, argv, message):
+    """argparse's exit 2: the usage of the experiment's parser, then one error line."""
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--experiment", *argv])
+    lines = capsys.readouterr().err.splitlines()
+    assert exc.value.code == 2
+    assert lines[0].startswith(f"usage: miplan simulate --experiment {argv[0]} [-h]")
+    assert [line for line in lines if "error:" in line] == [lines[-1]]
+    assert lines[-1].startswith("miplan simulate: error: ") and lines[-1].endswith(message)
+
+
 def write_two_row_csv(tmp_path):
     path = tmp_path / "pilot.csv"
     path.write_text("imputation,estimate,variance\n1,0,1\n2,2,1\n")
@@ -224,6 +235,24 @@ SMALL_EXPERIMENTS = {
 }
 
 
+# The flags each simulate experiment reads.  Under one experiment, a flag
+# that only others read is a usage error (exit 2), never silently ignored.
+READS = {
+    "two-stage": "--n --rho --missing --seed --reps --out --workers --pilot-m --max-m --level"
+                 " --target-sd --target-cv --target-df",
+    "cv-check": "--n --rho --missing --seed --reps --out --workers --m",
+    "df-reliability": "--n --rho --missing --seed --reps --out --workers --pilot-m --df-threshold",
+    "curve": "--n --rho --seed --reps --out --workers --gammas --cv-target --max-m --simulated"
+             " --df-curve --cvs",
+}
+SWITCHES = {"--simulated", "--df-curve"}
+FOREIGN_FLAGS = [
+    (experiment, flag)
+    for experiment, flags in READS.items()
+    for flag in sorted(set(" ".join(READS.values()).split()) - set(flags.split()))
+]
+
+
 class TestSimulate:
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize("experiment", sorted(SEEDED_EXPERIMENTS))
@@ -233,18 +262,24 @@ class TestSimulate:
             f"domain error: seed must be an unsigned 64-bit integer, got {seed}",
         )
 
+    @staticmethod
+    def assert_level_rejected(capsys, experiment, level):
+        """Exit 1 under two-stage, which pools at --level; elsewhere --level is
+        not a flag, so exit 2."""
+        argv = [*SMALL_EXPERIMENTS[experiment][1:], "--level", level]
+        if experiment == "two-stage":
+            assert_one_error_line(run_cli(capsys, ["simulate", "--experiment", *argv]),
+                                  f"domain error: level must be in (0, 1), got {level}")
+        else:
+            assert_usage_error(capsys, argv, f"unrecognized arguments: --level {level}")
+
     @pytest.mark.parametrize("experiment", list(SMALL_EXPERIMENTS))
     def test_level_outside_unit_interval_exits_one(self, capsys, experiment):
-        assert_one_error_line(
-            run_cli(capsys, ["simulate", *SMALL_EXPERIMENTS[experiment], "--level", "1.5"]),
-            "domain error: level must be in (0, 1), got 1.5",
-        )
+        self.assert_level_rejected(capsys, experiment, "1.5")
 
     def test_level_nan_exits_one(self, capsys):
-        assert_one_error_line(
-            run_cli(capsys, ["simulate", *SMALL_EXPERIMENTS["curve"], "--level", "nan"]),
-            "domain error: level must be in (0, 1), got nan",
-        )
+        for experiment in ("two-stage", "curve"):
+            self.assert_level_rejected(capsys, experiment, "nan")
 
     def test_two_stage_records_and_summary(self, tmp_path, capsys):
         base = tmp_path / "ts"
@@ -289,15 +324,8 @@ class TestSimulate:
         assert_one_error_line(result, "No such file or directory")
 
     def test_two_stage_needs_target(self, capsys):
-        # a usage error like argparse's own: the usage line, then the error
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--experiment", "two-stage", "--reps", "4"])
-        lines = capsys.readouterr().err.splitlines()
-        assert exc.value.code == 2
-        assert lines[0].startswith("usage: miplan simulate [-h] --experiment")
-        assert lines[-1] == (
-            "miplan simulate: error: two-stage needs one of --target-sd, --target-cv, --target-df"
-        )
+        assert_usage_error(capsys, ["two-stage", "--reps", "4"],
+                           "one of the arguments --target-sd --target-cv --target-df is required")
 
     def test_out_of_memory_exits_one(self, capsys, monkeypatch):
         # The final pooling asks for m = 1e13 draws, which numpy cannot
@@ -315,34 +343,27 @@ class TestSimulate:
             "--max-m", "10000000000000", "--reps", "2",
         ]), "Unable to allocate")
 
-    @pytest.mark.parametrize("experiment", ["curve", "cv-check", "df-reliability"])
-    def test_target_flag_outside_two_stage_is_a_usage_error(self, capsys, experiment):
+    @pytest.mark.parametrize("experiment, flag", FOREIGN_FLAGS)
+    def test_flag_of_another_experiment_is_a_usage_error(self, capsys, experiment, flag):
+        given = [flag] if flag in SWITCHES else [flag, "0.5"]
+        assert_usage_error(capsys, [*SMALL_EXPERIMENTS[experiment][1:], *given],
+                           f"unrecognized arguments: {' '.join(given)}")
+
+    @pytest.mark.parametrize("argv", [["--exp", "curve"], ["--experiment", "curve", "--sim"]])
+    def test_abbreviated_flag_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--experiment", experiment, "--target-cv", "0.2"])
-        lines = capsys.readouterr().err.splitlines()
+            main(["simulate", *argv])
         assert exc.value.code == 2
-        assert lines[0].startswith("usage: miplan simulate [-h] --experiment")
-        assert lines[-1].startswith("miplan simulate: error: ")
-        assert "curve's goal is --cv-target" in lines[-1]
+        assert capsys.readouterr().err.splitlines()[-1].startswith("miplan simulate: error: ")
 
     @pytest.mark.parametrize("argv, message", [
         (["curve", "--df-curve", "--simulated", "--cvs", "0.1"],
-         "--simulated adds a column to the rule comparison, which --df-curve replaces"),
+         "--simulated: not allowed with argument --df-curve"),
         (["curve", "--cvs", "0.1"], "--cvs is the cv grid of --df-curve"),
         (["curve", "--simulated", "--cvs", "0.1"], "--cvs is the cv grid of --df-curve"),
-        (["cv-check", "--simulated"], "--simulated is a curve flag; cv-check does not read it"),
-        (["two-stage", "--target-cv", "0.1", "--df-curve"],
-         "--df-curve is a curve flag; two-stage does not read it"),
-        (["df-reliability", "--cvs", "0.1"],
-         "--cvs is a curve flag; df-reliability does not read it"),
     ])
     def test_curve_flag_that_would_be_ignored_is_a_usage_error(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--experiment", *argv])
-        lines = capsys.readouterr().err.splitlines()
-        assert exc.value.code == 2
-        assert lines[0].startswith("usage: miplan simulate [-h] --experiment")
-        assert lines[-1] == f"miplan simulate: error: {message}"
+        assert_usage_error(capsys, argv, message)
 
     def test_curve_simulated_seeds_each_row_by_its_index(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -501,6 +522,17 @@ class TestSimulate:
         header, rows = read_table(str(base) + ".csv")
         assert header == ["rep", "gamma_hat", "df_hat", "exceeds_threshold"]
         assert len(rows) == 100
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--gammas", ","],
+    ["table1", "--ms", ","],
+    ["simulate", "--experiment", "curve", "--gammas", ","],
+    ["simulate", "--experiment", "curve", "--df-curve", "--cvs", ","],
+    ["simulate", "--experiment", "curve", "--df-curve", "--cvs", ""],
+])
+def test_empty_grid_exits_one(capsys, argv):
+    assert_one_error_line(run_cli(capsys, argv), "domain error: ", "at least one")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

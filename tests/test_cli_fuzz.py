@@ -20,6 +20,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from miplan.cli import main
 
+from test_cli import FOREIGN_FLAGS, READS, SWITCHES
+
 HEADER = "imputation,estimate,variance\n"
 
 # Bad or extreme tokens for CSV cells and flag values.
@@ -77,7 +79,7 @@ def csv_file(body: str):
         yield str(path)
 
 
-def run(argv: list[str]) -> None:
+def run(argv: list[str]) -> int:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
             warnings.catch_warnings():
@@ -97,6 +99,7 @@ def run(argv: list[str]) -> None:
         assert lines[0].startswith("usage: miplan"), lines
         errors = [line for line in lines if re.match(r"miplan( \w+)?: error: ", line)]
         assert errors == [lines[-1]], lines
+    return code
 
 
 @FUZZ
@@ -142,8 +145,8 @@ def test_table1(gammas, ms, level, fmt):
 
 
 # Count flags: never a large count, which would only make the run long.
-# Always given --n, --reps and --gammas, since their defaults make long runs;
-# cv-check and df-reliability need 100 replications or more.
+# Always given --n, --reps and curve's --gammas, since their defaults make
+# long runs; cv-check and df-reliability need 100 replications or more.
 SIM_COUNTS = {
     "--n": st.integers(5, 60),
     "--reps": st.integers(95, 130),
@@ -164,17 +167,19 @@ HOSTILE_COUNT = st.sampled_from(["-1", "0", "x", "1.5", ""])
 
 
 @st.composite
-def simulate_flags(draw) -> dict[str, str]:
-    """Clean values for a random subset of the flags, and in one run of four,
-    one flag set to a hostile token."""
+def simulate_flags(draw, experiment: str) -> dict[str, str]:
+    """Clean values for a random subset of the experiment's own flags in
+    SIM_FLAGS, and in one run of four, one of them set to a hostile token."""
     required = ("--n", "--reps")
+    own = SIM_FLAGS.keys() & set(READS[experiment].split())
     flags = draw(st.fixed_dictionaries(
         {flag: SIM_FLAGS[flag] for flag in required},
-        optional={flag: s for flag, s in SIM_FLAGS.items() if flag not in required},
+        optional={flag: SIM_FLAGS[flag] for flag in own if flag not in required},
     ))
-    flags["--gammas"] = ",".join(draw(st.lists(floats(0.05, 0.95), min_size=1, max_size=2)))
+    if experiment == "curve":
+        flags["--gammas"] = ",".join(draw(st.lists(floats(0.05, 0.95), min_size=1, max_size=2)))
     if draw(st.integers(0, 3)) == 0:
-        flag = draw(st.sampled_from(sorted(flags.keys() | SIM_FLAGS.keys())))
+        flag = draw(st.sampled_from(sorted(flags.keys() | own)))
         if flag == "--seed":
             flags[flag] = draw(st.sampled_from(["-1", "x", str(2**64)]))
         else:
@@ -184,21 +189,25 @@ def simulate_flags(draw) -> dict[str, str]:
 
 @FUZZ
 @given(
-    experiment=st.sampled_from(["two-stage", "cv-check", "curve", "df-reliability"]),
-    flags=simulate_flags(),
+    experiment=st.sampled_from(sorted(READS)),
+    data=st.data(),
     targets=mostly(st.lists(TARGET, min_size=1, max_size=1), st.lists(TARGET, max_size=2)),
     simulated=st.booleans(),
     df_curve=st.booleans(),
     # tiny clean cvs reach the underflow of 2 cv^2, where df is inf
     cvs=st.lists(mostly(floats(1e-300, 0.999)), max_size=3),
 )
-def test_simulate(experiment, flags, targets, simulated, df_curve, cvs):
+def test_simulate(experiment, data, targets, simulated, df_curve, cvs):
     argv = ["simulate", "--experiment", experiment]
-    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    argv += [f"{flag}={value}" for flag, value in data.draw(simulate_flags(experiment)).items()]
     if experiment == "two-stage":
         argv += [f"{flag}={value}" for flag, value in targets]
     if experiment == "curve" and simulated:
         argv.append("--simulated")
     if experiment == "curve" and df_curve:
         argv += ["--df-curve", f"--cvs={','.join(cvs)}"]
-    run(argv)
+    if data.draw(st.integers(0, 3)) < 3:  # the simplest draw, 0, keeps to the own flags
+        run(argv)
+    else:  # in one run of four, a flag that only other experiments read
+        flag = data.draw(st.sampled_from([f for e, f in FOREIGN_FLAGS if e == experiment]))
+        assert run(argv + ([flag] if flag in SWITCHES else [flag, "0.5"])) == 2

@@ -64,7 +64,12 @@ def test_full_reference_table():
 def test_row_major_layout():
     rows = table1(gammas=(0.1, 0.7), ms=(5, 10))
     assert [(r.point, r.m) for r in rows] == [(0.1, 5), (0.1, 10), (0.7, 5), (0.7, 10)]
-    assert table1(gammas=(), ms=(5, 10)) == []
+
+
+@pytest.mark.parametrize("gammas, ms", [((), (5, 10)), ((0.5,), ()), ((), ())])
+def test_empty_grid_rejected(gammas, ms):
+    with pytest.raises(ValueError, match="domain error: table1 needs at least one gamma and one m"):
+        table1(gammas=gammas, ms=ms)
 
 
 @given(g=st.floats(min_value=0.01, max_value=0.99))

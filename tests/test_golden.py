@@ -56,6 +56,10 @@ CASES = {
     "plan_help": ["plan", "--help"],
     "table1_help": ["table1", "--help"],
     "simulate_help": ["simulate", "--help"],
+    "simulate_two_stage_help": ["simulate", "--experiment", "two-stage", "--help"],
+    "simulate_cv_check_help": ["simulate", "--experiment", "cv-check", "--help"],
+    "simulate_curve_help": ["simulate", "--experiment", "curve", "--help"],
+    "simulate_df_reliability_help": ["simulate", "--experiment", "df-reliability", "--help"],
 }
 
 

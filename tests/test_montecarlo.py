@@ -361,6 +361,12 @@ class TestCurves:
             with pytest.raises(ValueError, match="domain error"):
                 df_cv_curve([0.05, bad])
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="domain error: curve needs at least one gamma"):
+            curve_data([], 0.05)
+        with pytest.raises(ValueError, match="domain error: df curve needs at least one cv"):
+            df_cv_curve([])
+
 
 def gamma_of(p, rho):
     """Large-sample fraction of missing information at missing fraction p."""

@@ -51,7 +51,7 @@ def load_perfbench(name, monkeypatch):
 def test_benchmark_names_resolve(monkeypatch, tmp_path):
     """Every function the benchmark traces or reads a cache of, the
     imputation hook it wraps, and the argv of its CLI workloads, which
-    must parse and pass the checks ``main`` makes before any command."""
+    must parse as ``main`` parses it."""
     tracer = load_perfbench("tracer", monkeypatch)
     for module, func in tracer.TRACED:
         assert callable(getattr(importlib.import_module(f"miplan.{module}"), func, None)), func
@@ -60,9 +60,7 @@ def test_benchmark_names_resolve(monkeypatch, tmp_path):
         assert hasattr(getattr(importlib.import_module(f"miplan.{module}"), func), "cache_info"), name
     assert callable(montecarlo.impute_m)
     workloads = load_perfbench("workloads", monkeypatch)
-    parser = cli.build_parser()
     for workload in ("two_stage_small_n", "required_m_search"):
         argv = workloads.make_inputs(workload, 1, str(tmp_path))["argv"]
-        args = parser.parse_args([*argv, "--seed", "1", "--out", "X"])
-        assert (args.command, args.seed, args.out) == ("simulate", 1, "X")
-        cli.check_args(args)
+        args = cli.parse_args([*argv, "--seed", "1", "--out", "X"])
+        assert (args.command, args.seed, args.out, args.workers) == ("simulate", 1, "X", 1)
