@@ -58,7 +58,14 @@ from .planning import (
     recommend,
     variance_inflation,
 )
-from .pooling import ImputationResult, PooledAnalysis, PooledReplicates, pool, read_results_csv
+from .pooling import (
+    ImputationResult,
+    ImputationResults,
+    PooledAnalysis,
+    PooledReplicates,
+    pool,
+    read_results_csv,
+)
 from .quantiles import normal_quantile, t_quantile
 
 __version__ = "0.1.0"
@@ -108,6 +115,7 @@ __all__ = [
     "recommend",
     "variance_inflation",
     "ImputationResult",
+    "ImputationResults",
     "PooledAnalysis",
     "PooledReplicates",
     "pool",

@@ -54,6 +54,15 @@ class _TargetAction(argparse.Action):
         namespace.target = (TARGET_FLAGS[option_string][0], value)
 
 
+class _GivenAction(argparse.Action):
+    """Store a flag's value and add the flag to args.given, so that a flag
+    given at its default value can be told from one left out."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, value)
+        namespace.given = (*namespace.given, option_string)
+
+
 def _fmt(value: float) -> str:
     """Machine rendering of a float: 17 significant digits."""
     return format(float(value), ".17g")
@@ -182,11 +191,12 @@ def _emit_outputs(args, header, rows, fields) -> None:
         "missing_fraction": args.missing,
         **fields,
     }
+    text = render_json(payload) + "\n"
     if args.out:
         base = args.out.removesuffix(".csv").removesuffix(".json")
         _write(csv_text(header, rows), base + ".csv")
-        _write(render_json(payload) + "\n", base + ".json")
-    _print_payload(payload)
+        _write(text, base + ".json")
+    sys.stdout.write(text)
 
 
 def _note_cap(capped: bool, max_m: int) -> None:
@@ -317,8 +327,15 @@ def _sim_cv_check(args) -> int:
 
 
 def _sim_curve(args) -> int:
+    # A flag that the chosen mode would ignore is a usage error.
+    parser = _EXPERIMENT_PARSERS["curve"]
     if args.cvs is not None and not args.df_curve:
-        _EXPERIMENT_PARSERS["curve"].error("--cvs is the cv grid of --df-curve")
+        parser.error("--cvs is the cv grid of --df-curve")
+    for flag in args.given:
+        if args.df_curve:
+            parser.error(f"{flag} is not read with --df-curve")
+        if not args.simulated and flag in ("--n", "--rho", "--seed", "--reps"):
+            parser.error(f"{flag} is read only with --simulated")
     capped = False
     if args.df_curve:
         cvs = [i / 100.0 for i in range(1, 51)] if args.cvs is None else _parse_list(args.cvs, float)
@@ -390,12 +407,15 @@ def build_experiment_parsers() -> dict[str | None, argparse.ArgumentParser]:
             allow_abbrev=False,
         )
         p.set_defaults(handler=handler)
-        p.add_argument("--n", type=int, default=2000)
-        p.add_argument("--rho", type=float, default=0.0)
+        # curve notes which of these it was given: its modes read different ones.
+        noted = _GivenAction if name == "curve" else None
+        p.add_argument("--n", type=int, default=2000, action=noted)
+        p.add_argument("--rho", type=float, default=0.0, action=noted)
         if name != "curve":
             p.add_argument("--missing", type=float, default=0.5)
-        p.add_argument("--reps", type=int, default=reps, help="replications (default: %(default)s)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--reps", type=int, default=reps, action=noted,
+                       help="replications (default: %(default)s)")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, action=noted)
         p.add_argument("--out", metavar="BASE", help="write BASE.csv" if name == "curve"
                        else "write BASE.csv (records) and BASE.json (summary)")
         p.add_argument("--workers", type=int, default=1,
@@ -412,9 +432,12 @@ def build_experiment_parsers() -> dict[str | None, argparse.ArgumentParser]:
     p = parsers["curve"]
     p.epilog = ("--n, --rho, --seed and --reps are read only with --simulated;"
                 " with --df-curve, only --cvs and --out are read.")
-    p.add_argument("--gammas", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", help="gamma grid")
-    p.add_argument("--cv-target", type=float, default=0.05, help="SE CV target")
-    p.add_argument("--max-m", type=int, default=DEFAULT_M_MAX)
+    p.set_defaults(given=())
+    p.add_argument("--gammas", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
+                   action=_GivenAction, help="gamma grid")
+    p.add_argument("--cv-target", type=float, default=0.05, action=_GivenAction,
+                   help="SE CV target")
+    p.add_argument("--max-m", type=int, default=DEFAULT_M_MAX, action=_GivenAction)
     column = p.add_mutually_exclusive_group()
     column.add_argument("--simulated", action="store_true",
                         help="add the simulated required-m column to the curve (slow)")

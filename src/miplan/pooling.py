@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,6 +42,38 @@ class ImputationResult:
             )
 
 
+class ImputationResults(Sequence):
+    """Per-imputation results held as two columns, as read_results_csv
+    returns the rows of a results CSV in index order.
+
+    ``estimates`` and ``withins`` are read-only float64 copies of the
+    columns, checked as every ImputationResult is.  Indexing and iterating
+    give ImputationResults, so the rows read as a list of them.
+    """
+
+    __slots__ = ("estimates", "withins")
+
+    def __init__(self, estimates, withins) -> None:
+        estimates = np.array(estimates, dtype=np.float64)
+        withins = np.array(withins, dtype=np.float64)
+        if not (estimates.ndim == 1 and estimates.shape == withins.shape
+                and np.isfinite(estimates).all() and np.isfinite(withins).all()
+                and (withins >= 0.0).all()):
+            raise ValueError("invalid input: need two 1-d columns of equal length: finite "
+                             "estimates, and within variances finite and >= 0")
+        estimates.flags.writeable = withins.flags.writeable = False
+        self.estimates = estimates
+        self.withins = withins
+
+    def __len__(self) -> int:
+        return len(self.estimates)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ImputationResults(self.estimates[i], self.withins[i])
+        return ImputationResult(float(self.estimates[i]), float(self.withins[i]))
+
+
 @dataclass(frozen=True)
 class PooledAnalysis:
     """Pooled output across m imputations.
@@ -67,16 +99,18 @@ class PooledAnalysis:
 
 
 def pool(
-    results: Iterable[ImputationResult | Sequence[float]],
+    results: ImputationResults | Iterable[ImputationResult | Sequence[float]],
     level: float = 0.95,
 ) -> PooledAnalysis:
     """Pool per-imputation results with Rubin's rules.
 
     Parameters
     ----------
-    results : iterable of ImputationResult (or (estimate, variance) pairs)
-        One entry per imputation; at least two are required.  Each is
-        checked as an ImputationResult, then the arrays go to pool_arrays.
+    results : ImputationResults, or an iterable of ImputationResult or of
+        (estimate, variance) pairs
+        One entry per imputation; at least two are required.  The columns
+        of an ImputationResults, checked when it was read, go straight to
+        pool_arrays; any other entry is first checked as an ImputationResult.
     level : float
         Confidence level for both the gamma interval and the interval
         for the pooled estimate.
@@ -85,6 +119,8 @@ def pool(
     -------
     PooledAnalysis
     """
+    if isinstance(results, ImputationResults):
+        return pool_arrays(results.estimates, results.withins, level)
     items = [r if isinstance(r, ImputationResult) else ImputationResult(*r) for r in results]
     return pool_arrays(
         np.array([r.estimate for r in items], dtype=np.float64),
@@ -99,8 +135,8 @@ class PooledReplicates:
 
     Entry i of every array is pooling i's field of PooledAnalysis; the
     intervals, which no measurement uses, are left out (``analysis`` adds
-    them for one pooling).  ``pool_rows`` of one 1-d pooling gives numpy
-    scalars instead of arrays.
+    them for one pooling).  ``pool_rows`` of one 1-d pooling gives Python
+    floats instead of arrays.
     """
 
     m: int
@@ -152,22 +188,36 @@ def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
 
     # Canonical ordering makes the result bit-identical under permutation
     # of the inputs: by estimate, then by within variance.  One row takes
-    # lexsort and plain indexing, the cheapest at pilot sizes.  A block
-    # takes argsort of the estimates, several times cheaper than lexsort
-    # along its rows; when no row holds two equal estimates, each row has
-    # only one sorted order, so it is lexsort's.  A block with a tie in any
-    # row (-0.0 == 0.0 and equal infinities count) takes lexsort instead.
+    # lexsort and plain indexing, the cheapest at pilot sizes, and after the
+    # sums does its arithmetic in Python floats: the same IEEE operations as
+    # the block's, so the same bits, without numpy's cost per scalar.
     if estimates.ndim == 1:
         order = np.lexsort((withins, estimates))
         estimates, withins = estimates[order], withins[order]
-    else:
-        order = np.argsort(estimates, axis=-1)
+        # As below, but in Python floats after the sums.
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = float(np.add.reduce(estimates)) / m
+            dev = estimates - theta
+            b = float(np.add.reduce(dev * dev)) / (m - 1)
+            w_bar = float(np.add.reduce(withins)) / m
+        v_total = w_bar + (1.0 + 1.0 / m) * b
+        _reject(theta, v_total)
+        gamma_raw = (1.0 + 1.0 / m) * b / v_total
+        gamma_hat = min(max(gamma_raw, GAMMA_EPS), 1.0 - GAMMA_EPS)
+        return PooledReplicates(m, theta, w_bar, b, v_total, math.sqrt(v_total),
+                                gamma_hat, gamma_raw, (m - 1) / (gamma_hat * gamma_hat))
+
+    # A block takes argsort of the estimates, several times cheaper than
+    # lexsort along its rows; when no row holds two equal estimates, each row
+    # has only one sorted order, so it is lexsort's.  A block with a tie in
+    # any row (-0.0 == 0.0 and equal infinities count) takes lexsort instead.
+    order = np.argsort(estimates, axis=-1)
+    ranked = np.take_along_axis(estimates, order, axis=-1)
+    if (ranked[..., 1:] == ranked[..., :-1]).any():
+        order = np.lexsort((withins, estimates), axis=-1)
         ranked = np.take_along_axis(estimates, order, axis=-1)
-        if (ranked[..., 1:] == ranked[..., :-1]).any():
-            order = np.lexsort((withins, estimates), axis=-1)
-            ranked = np.take_along_axis(estimates, order, axis=-1)
-        estimates = ranked
-        withins = np.take_along_axis(withins, order, axis=-1)
+    estimates = ranked
+    withins = np.take_along_axis(withins, order, axis=-1)
 
     # np.mean and np.var(ddof=1) as numpy computes them, sharing one sum.
     # Finite inputs near the float64 limit can overflow; that is reported below.
@@ -180,9 +230,7 @@ def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
     usable = np.isfinite(theta) & np.isfinite(v_total) & (v_total > 0.0)
     if not usable.all():
         i = np.argmin(usable, axis=None)
-        if not (math.isfinite(np.ravel(theta)[i]) and math.isfinite(np.ravel(v_total)[i])):
-            raise ValueError("invalid input: pooled estimate or variance overflows float64")
-        raise ValueError("invalid input: pooled variance must be positive")
+        _reject(float(np.ravel(theta)[i]), float(np.ravel(v_total)[i]))
 
     gamma_raw = (1.0 + 1.0 / m) * b / v_total
     # clamp_gamma's clamp; with withins >= 0, gamma_raw is already in [0, 1]
@@ -200,6 +248,15 @@ def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
     )
 
 
+def _reject(theta: float, v_total: float) -> None:
+    """Raise, for a pooling with this estimate and total variance, the error
+    that makes it unusable, if any."""
+    if not (math.isfinite(theta) and math.isfinite(v_total)):
+        raise ValueError("invalid input: pooled estimate or variance overflows float64")
+    if not v_total > 0.0:
+        raise ValueError("invalid input: pooled variance must be positive")
+
+
 def pool_arrays(estimates: np.ndarray, withins: np.ndarray, level: float = 0.95) -> PooledAnalysis:
     """Rubin's rules over the m estimates and within variances of one
     pooling, with its gamma and theta intervals (``pool_rows`` for one row)."""
@@ -207,13 +264,14 @@ def pool_arrays(estimates: np.ndarray, withins: np.ndarray, level: float = 0.95)
     return pool_rows(estimates, withins).analysis(None, level)
 
 
-def read_results_csv(path: str) -> list[ImputationResult]:
+def read_results_csv(path: str) -> ImputationResults:
     """Read per-imputation results from CSV.
 
-    The header must be exactly ``imputation,estimate,variance``, after an optional
-    UTF-8 byte-order mark; extra columns are rejected.  Rows may appear in any order;
-    the indices must be 1..m, each once: a duplicate or a gap is an error.
-    Returns results ordered by index.
+    The header must be ``imputation,estimate,variance``, after an optional
+    UTF-8 byte-order mark; whitespace around each name is ignored, and extra
+    columns are rejected.  Blank lines are skipped.  Rows may appear in any
+    order; the indices must be 1..m, each once: a duplicate or a gap is an
+    error.  Returns the results ordered by index.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
@@ -228,7 +286,27 @@ def read_results_csv(path: str) -> list[ImputationResult]:
             f"invalid input: {path}: header must be "
             f"{','.join(RESULTS_CSV_HEADER)!r}, got {','.join(header)!r}"
         )
-    rows: dict[int, ImputationResult] = {}
+    # Parse and check column by column.  Only when a check fails does
+    # _check_rows go through the rows one at a time, to report the first bad one.
+    rows = [row for row in lines[1:] if row]
+    try:
+        if any(len(row) != 3 for row in rows):
+            raise ValueError
+        ranked = sorted((int(row[0]), row) for row in rows)
+        if [index for index, _ in ranked] != list(range(1, len(ranked) + 1)):
+            raise ValueError
+        return ImputationResults([float(row[1]) for _, row in ranked],
+                                 [float(row[2]) for _, row in ranked])
+    except ValueError:
+        pass
+    _check_rows(path, lines)
+    raise AssertionError("a column check failed where no row check does")
+
+
+def _check_rows(path: str, lines: list[list[str]]) -> None:
+    """Check a results CSV's rows one at a time and raise the error of the
+    first bad one: the wording of every row error read_results_csv gives."""
+    seen: set[int] = set()
     for lineno, row in enumerate(lines[1:], start=2):
         if not row:
             continue
@@ -236,20 +314,20 @@ def read_results_csv(path: str) -> list[ImputationResult]:
             raise ValueError(f"invalid input: {path}:{lineno}: expected 3 columns")
         try:
             index = int(row[0])
-            result = ImputationResult(float(row[1]), float(row[2]))
+            ImputationResult(float(row[1]), float(row[2]))
         except ValueError as exc:
-            raise ValueError(f"invalid input: {path}:{lineno}: {exc}") from None
+            message = str(exc).removeprefix("invalid input: ")
+            raise ValueError(f"invalid input: {path}:{lineno}: {message}") from None
         if index < 1:
             raise ValueError(
                 f"invalid input: {path}:{lineno}: imputation index must be >= 1"
             )
-        if index in rows:
+        if index in seen:
             raise ValueError(
                 f"invalid input: {path}:{lineno}: duplicate imputation index {index}"
             )
-        rows[index] = result
+        seen.add(index)
     # The indices are unique and >= 1, so they are 1..m exactly when the largest is m.
-    if rows and max(rows) != len(rows):
-        missing = next(i for i in range(1, len(rows) + 1) if i not in rows)
+    if seen and max(seen) != len(seen):
+        missing = next(i for i in range(1, len(seen) + 1) if i not in seen)
         raise ValueError(f"invalid input: {path}: missing imputation index {missing}")
-    return [rows[i] for i in sorted(rows)]

@@ -246,6 +246,11 @@ READS = {
              " --df-curve --cvs",
 }
 SWITCHES = {"--simulated", "--df-curve"}
+# curve's flags that only some of its modes read, each with a value at its
+# default: given at all, each is a usage error where the mode ignores it.
+CURVE_MODE_FLAGS = {"--n": "2000", "--rho": "0", "--seed": "31415", "--reps": "200",
+                    "--gammas": "0.5", "--cv-target": "0.05", "--max-m": "10000"}
+CURVE_SIMULATION_FLAGS = {"--n", "--rho", "--seed", "--reps"}
 FOREIGN_FLAGS = [
     (experiment, flag)
     for experiment, flags in READS.items()
@@ -363,6 +368,15 @@ class TestSimulate:
         (["curve", "--simulated", "--cvs", "0.1"], "--cvs is the cv grid of --df-curve"),
     ])
     def test_curve_flag_that_would_be_ignored_is_a_usage_error(self, capsys, argv, message):
+        assert_usage_error(capsys, argv, message)
+
+    @pytest.mark.parametrize("argv, message", [
+        *((["curve", "--df-curve", flag, value], f"{flag} is not read with --df-curve")
+          for flag, value in CURVE_MODE_FLAGS.items()),
+        *((["curve", "--gammas", "0.5", f"{flag}={value}"], f"{flag} is read only with --simulated")
+          for flag, value in CURVE_MODE_FLAGS.items() if flag in CURVE_SIMULATION_FLAGS),
+    ])
+    def test_curve_flag_the_mode_would_ignore_is_a_usage_error(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
 
     def test_curve_simulated_seeds_each_row_by_its_index(self, capsys):

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from miplan.cli import main
 
-from test_cli import FOREIGN_FLAGS, READS, SWITCHES
+from test_cli import CURVE_MODE_FLAGS, CURVE_SIMULATION_FLAGS, FOREIGN_FLAGS, READS, SWITCHES
 
 HEADER = "imputation,estimate,variance\n"
 
@@ -145,8 +145,9 @@ def test_table1(gammas, ms, level, fmt):
 
 
 # Count flags: never a large count, which would only make the run long.
-# Always given --n, --reps and curve's --gammas, since their defaults make
-# long runs; cv-check and df-reliability need 100 replications or more.
+# Always given --n, --reps and curve's --gammas where they are read, since
+# their defaults make long runs; cv-check and df-reliability need 100
+# replications or more.
 SIM_COUNTS = {
     "--n": st.integers(5, 60),
     "--reps": st.integers(95, 130),
@@ -166,20 +167,30 @@ SIM_FLAGS = {
 HOSTILE_COUNT = st.sampled_from(["-1", "0", "x", "1.5", ""])
 
 
+def mode_reads(experiment: str, simulated: bool, df_curve: bool) -> set[str]:
+    """The flags the experiment reads; curve's depend on its mode."""
+    reads = set(READS[experiment].split())
+    if experiment == "curve" and df_curve:
+        return reads - set(CURVE_MODE_FLAGS)
+    if experiment == "curve" and not simulated:
+        return reads - CURVE_SIMULATION_FLAGS
+    return reads
+
+
 @st.composite
-def simulate_flags(draw, experiment: str) -> dict[str, str]:
-    """Clean values for a random subset of the experiment's own flags in
-    SIM_FLAGS, and in one run of four, one of them set to a hostile token."""
-    required = ("--n", "--reps")
-    own = SIM_FLAGS.keys() & set(READS[experiment].split())
+def simulate_flags(draw, own: set[str]) -> dict[str, str]:
+    """Clean values for a random subset of the flags in own, the flags the
+    run reads, and in one run of four, one of them set to a hostile token."""
+    required = own & {"--n", "--reps"}
     flags = draw(st.fixed_dictionaries(
-        {flag: SIM_FLAGS[flag] for flag in required},
-        optional={flag: SIM_FLAGS[flag] for flag in own if flag not in required},
+        {flag: SIM_FLAGS[flag] for flag in sorted(required)},
+        optional={flag: SIM_FLAGS[flag] for flag in sorted(SIM_FLAGS.keys() & own - required)},
     ))
-    if experiment == "curve":
+    if "--gammas" in own:
         flags["--gammas"] = ",".join(draw(st.lists(floats(0.05, 0.95), min_size=1, max_size=2)))
-    if draw(st.integers(0, 3)) == 0:
-        flag = draw(st.sampled_from(sorted(flags.keys() | own)))
+    settable = sorted(flags.keys() | SIM_FLAGS.keys() & own)  # none with --df-curve
+    if settable and draw(st.integers(0, 3)) == 0:
+        flag = draw(st.sampled_from(settable))
         if flag == "--seed":
             flags[flag] = draw(st.sampled_from(["-1", "x", str(2**64)]))
         else:
@@ -198,16 +209,21 @@ def simulate_flags(draw, experiment: str) -> dict[str, str]:
     cvs=st.lists(mostly(floats(1e-300, 0.999)), max_size=3),
 )
 def test_simulate(experiment, data, targets, simulated, df_curve, cvs):
+    simulated, df_curve = (simulated, df_curve) if experiment == "curve" else (False, False)
+    own = mode_reads(experiment, simulated, df_curve)
     argv = ["simulate", "--experiment", experiment]
-    argv += [f"{flag}={value}" for flag, value in data.draw(simulate_flags(experiment)).items()]
+    argv += [f"{flag}={value}" for flag, value in data.draw(simulate_flags(own)).items()]
     if experiment == "two-stage":
         argv += [f"{flag}={value}" for flag, value in targets]
-    if experiment == "curve" and simulated:
+    if simulated:
         argv.append("--simulated")
-    if experiment == "curve" and df_curve:
+    if df_curve:
         argv += ["--df-curve", f"--cvs={','.join(cvs)}"]
     if data.draw(st.integers(0, 3)) < 3:  # the simplest draw, 0, keeps to the own flags
         run(argv)
-    else:  # in one run of four, a flag that only other experiments read
-        flag = data.draw(st.sampled_from([f for e, f in FOREIGN_FLAGS if e == experiment]))
+    else:  # in one run of four, a flag that only other experiments or curve modes read
+        foreign = [f for e, f in FOREIGN_FLAGS if e == experiment]
+        if experiment == "curve":
+            foreign += sorted(set(CURVE_MODE_FLAGS) - own)
+        flag = data.draw(st.sampled_from(foreign))
         assert run(argv + ([flag] if flag in SWITCHES else [flag, "0.5"])) == 2

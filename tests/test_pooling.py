@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from scipy import stats
 from miplan import GAMMA_EPS, ImputationResult, gen_incomplete, pool, read_results_csv, stream
 from miplan.imputer import draw_mean_variates, mean_analyses
 from miplan.montecarlo import TAG_DATA, TAG_REP
-from miplan.pooling import pool_arrays, pool_rows
+from miplan.pooling import ImputationResults, pool_arrays, pool_rows
+
+import reference
 
 
 def rel_close(a, b, tol=1e-12):
@@ -230,7 +234,7 @@ def assert_pooled_in_lexsort_order(estimates, withins):
         order = np.lexsort((w, e))
         alone = pool_rows(e[order], w[order])
         for field in KERNEL_FIELDS:
-            assert repr(getattr(pooled, field)[r].item()) == repr(getattr(alone, field).item())
+            assert repr(getattr(pooled, field)[r].item()) == repr(float(getattr(alone, field)))
 
 
 @pytest.mark.parametrize("reps, m", [(200, 54), (200, 169), (2000, 20)])
@@ -327,3 +331,126 @@ class TestResultsCsv:
         path.write_text("")
         with pytest.raises(ValueError, match="empty file"):
             read_results_csv(str(path))
+
+    def test_value_error_names_line_once(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("imputation,estimate,variance\n1,inf,1.0\n2,0.0,1.0\n")
+        with pytest.raises(ValueError) as exc:
+            read_results_csv(str(path))
+        assert str(exc.value) == f"invalid input: {path}:2: estimate must be finite, got inf"
+
+    def test_columns_are_read_only_arrays_in_index_order(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("imputation,estimate,variance\n2,2.0,1.0\n\n1,0.0,0.5\n")
+        results = read_results_csv(str(path))
+        assert isinstance(results, ImputationResults) and len(results) == 2
+        assert results.estimates.tolist() == [0.0, 2.0]
+        assert results.withins.tolist() == [0.5, 1.0]
+        assert results[1] == ImputationResult(2.0, 1.0)
+        for column in (results.estimates, results.withins):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+
+@pytest.mark.parametrize("estimates, withins", [
+    ([1.0, math.nan], [1.0, 1.0]),
+    ([1.0, 2.0], [1.0, math.inf]),
+    ([1.0, 2.0], [1.0, -0.5]),
+    ([1.0, 2.0], [1.0]),
+    ([[1.0, 2.0]], [[1.0, 1.0]]),
+])
+def test_imputation_results_checks_its_columns(estimates, withins):
+    with pytest.raises(ValueError, match="invalid input"):
+        ImputationResults(estimates, withins)
+
+
+def test_imputation_results_copies_and_pools_as_its_rows():
+    estimates, withins = np.array([3.0, 1.0, 2.0]), np.array([0.5, 0.25, 1.0])
+    results = ImputationResults(estimates, withins)
+    estimates[0] = math.nan  # the caller's array stays its own
+    assert results.estimates.tolist() == [3.0, 1.0, 2.0]
+    assert list(results[1:]) == [ImputationResult(1.0, 0.25), ImputationResult(2.0, 1.0)]
+    assert repr(pool(results, 0.9)) == repr(pool(list(results), 0.9))
+
+
+# Cells that break a row in each way a reader must catch.
+BAD_CELLS = {
+    "index": ["0", "-1", "x", "1.0", "", "\"2,\""],
+    "estimate": ["nan", "inf", "-inf", "1e309", "zero", "", "0x10"],
+    "variance": ["-0.5", "-1e-300", "nan", "inf", "1e400", "abc", ""],
+}
+
+
+@st.composite
+def results_file(draw) -> str:
+    """A results CSV, valid or broken by one or more mutations: blank lines,
+    a BOM, spaced header names, quoted fields, wrong column counts, bad
+    cells, negative variances, index 0, duplicate indices and gaps."""
+    m = draw(st.integers(0, 7))
+    indices = draw(st.permutations(range(1, m + 1)))
+    rows = [
+        [str(i), repr(draw(st.floats(-1e300, 1e300))),
+         repr(draw(st.floats(0.0, 1e300) | st.just(-0.0)))]
+        for i in indices
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(
+            ["blank", "quote", "columns", "cell", "cell", "duplicate", "gap", "space"]))
+        if not rows and kind not in ("blank", "space"):
+            continue
+        r = draw(st.integers(0, max(len(rows) - 1, 0)))
+        if kind == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif kind == "space":  # int and float skip whitespace around a number
+            c = draw(st.integers(0, 2))
+            if rows[r:] and rows[r][c:]:
+                rows[r][c] = f" {rows[r][c]}\t"
+        elif kind == "quote":
+            c = draw(st.integers(0, 2))
+            if rows[r][c:]:
+                rows[r][c] = f'"{rows[r][c]}"'
+        elif kind == "columns":
+            rows[r] = rows[r][: draw(st.integers(0, 2))] if draw(st.booleans()) else rows[r] + ["1"]
+        elif kind == "cell":
+            c = draw(st.integers(0, 2))
+            if len(rows[r]) == 3:
+                rows[r][c] = draw(st.sampled_from(BAD_CELLS[("index", "estimate", "variance")[c]]))
+        elif kind == "duplicate" and rows[r]:
+            rows[r][0] = draw(st.sampled_from([row[0] for row in rows if row] or ["1"]))
+        elif kind == "gap":
+            del rows[r]
+    header = draw(st.sampled_from(["imputation,estimate,variance"] * 5
+                                  + [" imputation , estimate,variance"] * 4 + ["imputation,estimate"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+
+
+def read_or_error(read, path):
+    """The (estimate, variance) bits of each row read, or the error message."""
+    try:
+        return [(repr(r.estimate), repr(r.within_variance)) for r in read(path)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(body=results_file())
+@settings(max_examples=400, deadline=None)
+def test_reader_matches_reference_reader(body):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = str(Path(scratch) / "results.csv")
+        Path(path).write_text(body, encoding="utf-8")
+        expected = read_or_error(reference.read_results_csv, path)
+        assert read_or_error(read_results_csv, path) == expected
+        if isinstance(expected, str):
+            return
+        results = read_results_csv(path)
+        assert [(repr(e), repr(w)) for e, w in zip(results.estimates.tolist(),
+                                                   results.withins.tolist())] == expected
+        try:
+            pooled = repr(pool(list(results)))
+        except ValueError as exc:
+            pooled = str(exc)
+        try:
+            assert repr(pool(results)) == pooled
+        except ValueError as exc:
+            assert str(exc) == pooled
