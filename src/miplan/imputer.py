@@ -9,10 +9,10 @@ from the predictive distribution at its x.
 ``fit_and_draw``, ``impute_once``, ``impute_m`` and ``analyze_mean`` are
 the reference path: they build every completed dataset.  The engine
 draws what ``analyze_mean`` would return for m imputations from the same
-distribution, using sufficient statistics of the data and O(1) variates
-per imputation: ``draw_mean_variates`` draws the variates and
-``mean_analyses`` turns them into analyses, for one pooling or a block
-of them.
+distribution, using O(1) variates per imputation: ``draw_mean_variates``
+draws the variates and ``mean_analyses`` turns them into analyses, for
+one pooling or a block of them.  Both paths read one complete-case fit,
+made once per dataset: ``IncompleteBivariate.mean_stats``.
 """
 
 from __future__ import annotations
@@ -77,38 +77,47 @@ class IncompleteBivariate:
 
     @cached_property
     def mean_stats(self) -> "MeanStats":
-        """Sufficient statistics of the data for ``mean_analyses``,
-        computed on first use (the arrays are read-only, so they stay valid)."""
+        """The complete-case fit and the sums over the missing rows, computed
+        on first use (the arrays are read-only, so they stay valid).  Raises
+        on a singular design: x constant among the complete cases."""
         mask = self.missing_mask
         xo, yo, xm = self.x[~mask], self.y[~mask], self.x[mask]
         x_mean, y_mean = float(np.mean(xo)), float(np.mean(yo))
         dx, dy = xo - x_mean, yo - y_mean
+        sxx = float(dx @ dx)
+        if sxx <= 0.0:
+            raise ValueError("singular design: auxiliary x is constant among complete cases")
+        sxy, syy = float(dx @ dy), float(dy @ dy)
+        slope = sxy / sxx
         k = xm.shape[0]
         x_mis_mean = float(np.mean(xm)) if k else x_mean
         d = xm - x_mis_mean
         return MeanStats(
-            n=self.n, n_obs=xo.shape[0], k=k, y_mean=y_mean,
-            sxx=float(dx @ dx), sxy=float(dx @ dy), syy=float(dy @ dy),
+            n=self.n, n_obs=xo.shape[0], k=k, x_mean=x_mean, y_mean=y_mean,
+            sxx=sxx, syy=syy, slope=slope, rss=max(syy - slope * sxy, 0.0),
             shift=x_mis_mean - x_mean, sdd=float(d @ d),
         )
 
 
 class MeanStats(NamedTuple):
-    """What ``analyze_mean ∘ impute_m`` depends on in the data.
+    """The one complete-case fit, read by ``fit_and_draw`` and ``mean_analyses``,
+    and what ``analyze_mean ∘ impute_m`` depends on in the data.
 
-    Over the n_obs complete cases: the mean of y and the centered sums of
-    squares and products Sxx, Sxy, Syy.  Over the k missing rows:
-    shift = mean(x_mis) - mean(x_obs) and Sdd = sum(d_i^2) with
-    d_i = x_i - mean(x_mis).
+    Over the n_obs complete cases: the means of x and y, the centered sums
+    of squares Sxx and Syy, and the least-squares slope and RSS of y on x.
+    Over the k missing rows: shift = mean(x_mis) - mean(x_obs) and
+    Sdd = sum(d_i^2) with d_i = x_i - mean(x_mis).
     """
 
     n: int
     n_obs: int
     k: int
+    x_mean: float
     y_mean: float
     sxx: float
-    sxy: float
     syy: float
+    slope: float
+    rss: float
     shift: float
     sdd: float
 
@@ -148,34 +157,15 @@ def fit_and_draw(data: IncompleteBivariate, rng: np.random.Generator) -> Posteri
     where s^2 is the least-squares residual variance; the coefficients are
     drawn from a bivariate normal centered at the least-squares fit with
     covariance sigma^2 * (X'X)^-1.  Consumes exactly one chi-square and
-    two normal variates from ``rng``.
+    two normal variates from ``rng``.  The fit is ``data.mean_stats``.
     """
-    obs = ~data.missing_mask
-    xo = data.x[obs]
-    yo = data.y[obs]
-    n_obs = xo.shape[0]
-    if n_obs < 4:
-        raise ValueError(f"insufficient complete cases: need at least 4, got {n_obs}")
-
-    x_mean = float(np.mean(xo))
-    y_mean = float(np.mean(yo))
-    dx = xo - x_mean
-    dy = yo - y_mean
-    sxx = float(dx @ dx)
-    if sxx <= 0.0:
-        raise ValueError("singular design: auxiliary x is constant among complete cases")
-    sxy = float(dx @ dy)
-    syy = float(dy @ dy)
-
-    slope = sxy / sxx
-    rss = max(syy - slope * sxy, 0.0)
-    s2 = rss / (n_obs - 2)
-
-    chi2 = rng.chisquare(n_obs - 2)
-    sigma = math.sqrt((n_obs - 2) * s2 / chi2)
+    s = data.mean_stats
+    s2 = s.rss / (s.n_obs - 2)
+    chi2 = rng.chisquare(s.n_obs - 2)
+    sigma = math.sqrt((s.n_obs - 2) * s2 / chi2)
     z0, z1 = rng.standard_normal(2)
-    beta1 = slope + sigma * float(z1) / math.sqrt(sxx)
-    beta0 = (y_mean + sigma * float(z0) / math.sqrt(n_obs)) - beta1 * x_mean
+    beta1 = s.slope + sigma * float(z1) / math.sqrt(s.sxx)
+    beta0 = (s.y_mean + sigma * float(z0) / math.sqrt(s.n_obs)) - beta1 * s.x_mean
     return PosteriorDraw(beta0=beta0, beta1=beta1, sigma=sigma)
 
 
@@ -258,8 +248,6 @@ def draw_mean_variates(
     if m < 2:
         raise ValueError(f"insufficient imputations: need m >= 2, got {m}")
     s = data.mean_stats
-    if s.sxx <= 0.0:
-        raise ValueError("singular design: auxiliary x is constant among complete cases")
     if s.k == 0:
         return MeanVariates(*np.zeros((6, m)))
     chi2 = rng.chisquare(s.n_obs - 2, m)
@@ -284,10 +272,8 @@ def mean_analyses(s: MeanStats, chi2, z0, z1, sum_z, sum_dz, sum_z2):
     if s.k == 0:
         shape = np.shape(chi2)
         return np.full(shape, s.y_mean), np.full(shape, s.syy / ((n - 1) * n))
-    slope = s.sxy / s.sxx
-    rss = max(s.syy - slope * s.sxy, 0.0)
-    sigma = np.sqrt(rss / chi2)
-    beta1 = slope + sigma * z1 / math.sqrt(s.sxx)
+    sigma = np.sqrt(s.rss / chi2)
+    beta1 = s.slope + sigma * z1 / math.sqrt(s.sxx)
     # Centered at the observed mean of y (so the sums of squares below do
     # not cancel on data with a large mean), a filled y_i is
     # a + beta1 * d_i + sigma * z_i.

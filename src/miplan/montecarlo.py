@@ -281,15 +281,15 @@ def summarize_two_stage(records: Sequence[TwoStageRecord]) -> TwoStageSummary:
     """Componentwise mean/sd/min/max of the final-stage results."""
     if len(records) < 2:
         raise ValueError(f"insufficient replications: need at least 2, got {len(records)}")
-    ses = np.array([r.final.se for r in records])
+    final_se = FieldSummary.of(np.array([r.final.se for r in records]))
     return TwoStageSummary(
         m_required=FieldSummary.of(np.array([r.recommendation.m_required for r in records])),
         final_m=FieldSummary.of(np.array([r.final.m for r in records])),
         final_estimate=FieldSummary.of(np.array([r.final.theta for r in records])),
-        final_se=FieldSummary.of(ses),
+        final_se=final_se,
         final_df_hat=FieldSummary.of(np.array([r.final.df_hat for r in records])),
         final_gamma_hat=FieldSummary.of(np.array([r.final.gamma_hat for r in records])),
-        achieved_sd_of_se=float(np.std(ses, ddof=1)),
+        achieved_sd_of_se=final_se.sd,
     )
 
 

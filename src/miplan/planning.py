@@ -66,8 +66,8 @@ class ReplicabilityTarget:
         if self.kind == "cv_of_variance":
             # The variance CV is about twice the SE CV (delta method).
             return 0.5 * self.value
-        # df = 1 / (2 cv^2), inverted.
-        return math.sqrt(1.0 / (2.0 * self.value))
+        # df = 1 / (2 cv^2), inverted; 0.5 / df, unlike 1 / (2 df), cannot overflow.
+        return math.sqrt(0.5 / self.value)
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,10 @@ def recommend(
     """
     gamma_used = pilot.gamma_interval.upper
     cv_target = target.cv_of_se(pilot.se)
-    # A cv target of 1 or more is looser than any useful goal; the floor of 2 applies.
-    raw = 2.0 if cv_target >= 1.0 else _se_cv_rule(gamma_used, cv_target)
+    # A cv target of 1 or more is looser than any useful goal; the floor of 2
+    # applies.  One that underflowed to 0 is stricter than any m can meet.
+    raw = (2.0 if cv_target >= 1.0 else math.inf if cv_target == 0.0
+           else _se_cv_rule(gamma_used, cv_target))
     m_required, m_uncapped = _capped_count(raw, m_max)
     return Recommendation(
         m_required=m_required,

@@ -276,7 +276,7 @@ def read_results_csv(path: str) -> ImputationResults:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             lines = list(csv.reader(fh))
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"invalid input: {path}: {exc}") from None
     if not lines:
         raise ValueError(f"invalid input: {path}: empty file")

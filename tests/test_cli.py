@@ -102,6 +102,12 @@ class TestPool:
             result = run_cli(capsys, ["pool", "--in", str(path)])
         assert_one_error_line(result, "overflows")
 
+    def test_invalid_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"imputation,estimate,variance\n1,0,1\n2,\xff,1\n")
+        assert_one_error_line(run_cli(capsys, ["pool", "--in", str(path)]),
+                              f"error: invalid input: {path}: 'utf-8' codec can't decode byte 0xff")
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["pool", "--in", "nope.csv"])
         assert code == 1
@@ -146,6 +152,29 @@ class TestPlan:
         else:
             assert payload["m_uncapped"] > int(max_m)
         assert err == f"note: m_required capped at --max-m {max_m}\n"
+
+    # A goal whose CV underflows to 0, or whose 2 df overflows, is as
+    # unreachable as its neighbours at SE 0.89 and gets their capped answer.
+    @pytest.mark.parametrize("se,flag,value", [
+        (2.77, "--target-df", "9e307"),
+        (2.77, "--target-vcv", "5e-324"),
+        (2.77, "--target-sd", "5e-324"),
+        (0.89, "--target-df", "8.9e307"),
+        (0.89, "--target-cv", "5e-324"),
+        (0.89, "--target-sd", "5e-324"),
+    ])
+    def test_unreachable_goal_is_capped(self, pilot_csv_factory, capsys, se, flag, value):
+        path = pilot_csv_factory(make_pilot_results(5, 0.39, se))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["plan", "--pilot", path, flag, value])
+        assert (code, err) == (0, "note: m_required capped at --max-m 10000\n")
+        payload = json.loads(out)
+        assert (payload["m_required"], payload["capped"]) == (10000, True)
+        if flag == "--target-df":
+            assert payload["m_uncapped"] > 10000 and payload["cv_target"] > 0.0
+        else:
+            assert payload["m_uncapped"] is None
 
     def test_max_m_below_two_exits_one(self, pilot_csv_factory, capsys):
         argv = ["plan", "--pilot", self.pilot_path(pilot_csv_factory), "--target-cv", "0.05"]
@@ -317,6 +346,16 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["m_required"]["max"] == 10
         assert err == "note: m_required capped at --max-m 10\n"
+
+    def test_two_stage_df_goal_past_overflow_is_capped(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "simulate", "--experiment", "two-stage", "--target-df", "9e307",
+                "--reps", "3", "--n", "200",
+            ])
+        assert (code, err) == (0, "note: m_required capped at --max-m 10000\n")
+        assert json.loads(out)["m_required"]["min"] == 10000
 
     @pytest.mark.parametrize("argv", [
         ["--experiment", "curve", "--gammas", "0.5"],

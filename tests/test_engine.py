@@ -84,6 +84,32 @@ def test_closed_form_matches_the_completed_data(name):
         assert within[0] == pytest.approx(reference.within_variance, rel=1e-9)
 
 
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_mean_stats_match_a_direct_fit(name):
+    """The one complete-case fit, which both paths read, against np.polyfit
+    and plain sums."""
+    data = DATASETS[name]()
+    s = data.mean_stats
+    obs = ~data.missing_mask
+    xo, yo, xm = data.x[obs], data.y[obs], data.x[~obs]
+    slope, intercept = np.polyfit(xo, yo, 1)
+    residuals = yo - (intercept + slope * xo)
+    assert (s.n, s.n_obs, s.k) == (data.n, xo.size, xm.size)
+    assert (s.x_mean, s.y_mean) == pytest.approx((xo.mean(), yo.mean()), rel=1e-12)
+    assert s.sxx == pytest.approx(np.sum((xo - xo.mean()) ** 2), rel=1e-12)
+    assert s.syy == pytest.approx(np.sum((yo - yo.mean()) ** 2), rel=1e-12)
+    assert s.slope == pytest.approx(slope, rel=1e-9)
+    assert s.rss == pytest.approx(np.sum(residuals**2), rel=1e-9)
+    assert s.shift == pytest.approx(xm.mean() - xo.mean(), rel=1e-9)
+    assert s.sdd == pytest.approx(np.sum((xm - xm.mean()) ** 2), rel=1e-12, abs=1e-24)
+
+
+def test_mean_stats_reject_a_constant_x():
+    line = IncompleteBivariate(np.full(6, 2.5), [1.0, 2.0, 3.0, 4.0, None, None])
+    with pytest.raises(ValueError, match="^singular design: auxiliary x is constant"):
+        line.mean_stats
+
+
 def test_no_missing_values_give_the_observed_analysis():
     d = gen_incomplete(50, 0.3, 0.2, stream(8, TAG_DATA))
     obs = ~d.missing_mask

@@ -70,6 +70,16 @@ class TestFitAndDraw:
         b = fit_and_draw(d, np.random.default_rng(42))
         assert a == b
 
+    def test_draws_keep_their_bits(self):
+        d = gen_incomplete(100, 0.5, 0.3, np.random.default_rng(3))
+        rng = np.random.default_rng(42)
+        draws = [fit_and_draw(d, rng) for _ in range(3)]
+        assert [repr((p.beta0, p.beta1, p.sigma)) for p in draws] == [
+            "(0.1460800008981431, 0.674549709015065, 0.8245135397966208)",
+            "(0.06948208436829764, 0.5476817579748889, 1.0052906695746966)",
+            "(0.1586249004552976, 0.6609915640323883, 0.8468281694573733)",
+        ]
+
     def test_singular_design(self):
         x = np.ones(6)
         y = np.array([1.0, 2.0, 3.0, 4.0, np.nan, np.nan])

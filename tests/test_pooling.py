@@ -433,6 +433,14 @@ def read_or_error(read, path):
         return str(exc)
 
 
+def test_readers_name_the_file_of_invalid_utf8(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_bytes(b"imputation,estimate,variance\n1,0,1\n2,\xff,1\n")
+    message = read_or_error(read_results_csv, str(path))
+    assert message.startswith(f"invalid input: {path}: 'utf-8' codec can't decode byte 0xff")
+    assert read_or_error(reference.read_results_csv, str(path)) == message
+
+
 @given(body=results_file())
 @settings(max_examples=400, deadline=None)
 def test_reader_matches_reference_reader(body):
