@@ -257,7 +257,9 @@ def draw_mean_variates(
         sum_z2 += e1 * e1
     if s.k >= 3:
         sum_z2 += rng.chisquare(s.k - 2, m)
-    return MeanVariates(chi2, z0, z1, math.sqrt(s.k) * e0, math.sqrt(s.sdd) * e1, sum_z2)
+    e0 *= math.sqrt(s.k)
+    e1 *= math.sqrt(s.sdd)
+    return MeanVariates(chi2, z0, z1, e0, e1, sum_z2)
 
 
 def mean_analyses(s: MeanStats, chi2, z0, z1, sum_z, sum_dz, sum_z2):
@@ -272,13 +274,50 @@ def mean_analyses(s: MeanStats, chi2, z0, z1, sum_z, sum_dz, sum_z2):
     if s.k == 0:
         shape = np.shape(chi2)
         return np.full(shape, s.y_mean), np.full(shape, s.syy / ((n - 1) * n))
-    sigma = np.sqrt(s.rss / chi2)
-    beta1 = s.slope + sigma * z1 / math.sqrt(s.sxx)
+    # The expression form below, evaluated with each temporary reused in
+    # place: every product and sum is the same IEEE operation on the same
+    # operands (addition and multiplication commute bit for bit), so the
+    # bits are the same.
+    #   sigma = sqrt(rss / chi2)
+    #   beta1 = slope + sigma * z1 / sqrt(Sxx)
     # Centered at the observed mean of y (so the sums of squares below do
     # not cancel on data with a large mean), a filled y_i is
-    # a + beta1 * d_i + sigma * z_i.
-    a = sigma * z0 / math.sqrt(s.n_obs) + beta1 * s.shift
-    t1 = s.k * a + sigma * sum_z
-    t2 = (s.syy + s.k * a * a + beta1 * beta1 * s.sdd + sigma * sigma * sum_z2
-          + 2.0 * sigma * (a * sum_z + beta1 * sum_dz))
-    return s.y_mean + t1 / n, (t2 - t1 * t1 / n) / ((n - 1) * n)
+    # a + beta1 * d_i + sigma * z_i, with
+    #   a = sigma * z0 / sqrt(n_obs) + beta1 * shift
+    #   t1 = k * a + sigma * sum_z
+    #   t2 = (Syy + k * a * a + beta1 * beta1 * Sdd + sigma * sigma * sum_z2
+    #         + 2 * sigma * (a * sum_z + beta1 * sum_dz))
+    #   estimate = y_mean + t1 / n,  within = (t2 - t1 * t1 / n) / ((n - 1) n)
+    sigma = np.divide(s.rss, chi2)
+    np.sqrt(sigma, out=sigma)
+    beta1 = sigma * z1
+    beta1 /= math.sqrt(s.sxx)
+    beta1 += s.slope
+    tmp = np.multiply(beta1, s.shift)
+    a = sigma * z0
+    a /= math.sqrt(s.n_obs)
+    a += tmp
+    t2 = s.k * a
+    t1 = np.multiply(sigma, sum_z)
+    t1 += t2
+    t2 *= a
+    t2 += s.syy
+    np.multiply(beta1, beta1, out=tmp)
+    tmp *= s.sdd
+    t2 += tmp
+    np.multiply(sigma, sigma, out=tmp)
+    tmp *= sum_z2
+    t2 += tmp
+    np.multiply(a, sum_z, out=tmp)
+    beta1 *= sum_dz
+    tmp += beta1
+    sigma *= 2.0
+    tmp *= sigma
+    t2 += tmp
+    np.multiply(t1, t1, out=tmp)
+    tmp /= n
+    t2 -= tmp
+    t2 /= (n - 1) * n
+    t1 /= n
+    t1 += s.y_mean
+    return t1, t2

@@ -398,7 +398,13 @@ def required_m(
 
     Bisects on m (the CV is monotone decreasing in m); probe noise is
     controlled by a fixed number of replications per probe plus a
-    confirmation probe on an independent stream at the returned m.
+    confirmation probe on an independent stream at the returned m.  Every
+    probe draws its own stream, derive_seed(seed, tag, m).  The bisection
+    never probes m_hi; the confirmation loop checks the bracket instead:
+    it steps the candidate up by about 10% until a probe passes, and
+    raises ``search exhausted`` when the probe at m_hi fails too.  So a
+    search whose m_hi fails runs the whole bisection and every
+    confirmation step before it raises.
     """
     if not (0.0 < cv_target < 1.0):
         raise ValueError(f"domain error: cv_target must be in (0, 1), got {cv_target!r}")
@@ -410,10 +416,6 @@ def required_m(
 
     if probe(2, TAG_PROBE) <= cv_target:
         candidate = 2
-    elif probe(m_hi, TAG_PROBE) > cv_target:
-        raise ValueError(
-            f"search exhausted: cv_se stays above {cv_target} at m_hi={m_hi}"
-        )
     else:
         lo, hi = 2, m_hi
         while hi - lo > 1:

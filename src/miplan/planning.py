@@ -87,13 +87,15 @@ class Recommendation:
 def _capped_count(raw: float, m_max: int) -> tuple[int, float]:
     """(count, uncapped): the ceiling of raw floored at 2, with and without the m_max cap.
 
-    The package's only cap on an imputation count; it never warns."""
+    uncapped is an exact int up to 2**53 and the float it already is above
+    that, so it prints as a number that a 64-bit JSON reader accepts.  The
+    package's only cap on an imputation count; it never warns."""
     if m_max < 2:
         raise ValueError(f"domain error: m_max must be >= 2, got {m_max!r}")
     if math.isinf(raw):
         return m_max, math.inf
     m = math.ceil(raw - _CEIL_SLACK * max(1.0, abs(raw)))
-    return (m_max if m > m_max else max(m, 2)), max(m, 2)
+    return (m_max if m > m_max else max(m, 2)), (float(m) if m > 2**53 else max(m, 2))
 
 
 def _check_unit_interval(name: str, value: float) -> None:
@@ -174,7 +176,8 @@ def recommend(
         m_required=m_required,
         gamma_used=gamma_used,
         cv_target=cv_target,
-        df_implied=df_for_cv(cv_target),
+        # A df goal is echoed as given, not as the df of its CV.
+        df_implied=target.value if target.kind == "df" else df_for_cv(cv_target),
         pilot_sufficient=pilot.m >= m_required,
         pilot_m=pilot.m,
         m_uncapped=m_uncapped,

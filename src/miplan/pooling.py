@@ -211,13 +211,20 @@ def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
     # lexsort along its rows; when no row holds two equal estimates, each row
     # has only one sorted order, so it is lexsort's.  A block with a tie in
     # any row (-0.0 == 0.0 and equal infinities count) takes lexsort instead.
+    # The order, offset by each row's start, indexes the flattened block, so
+    # each array is gathered by one flat take.
+    shape = estimates.shape
+    estimates, withins = estimates.reshape(-1, m), withins.reshape(-1, m)
+    starts = np.arange(0, estimates.size, m)[:, None]
     order = np.argsort(estimates, axis=-1)
-    ranked = np.take_along_axis(estimates, order, axis=-1)
-    if (ranked[..., 1:] == ranked[..., :-1]).any():
+    order += starts
+    ranked = estimates.take(order)
+    if (ranked[:, 1:] == ranked[:, :-1]).any():
         order = np.lexsort((withins, estimates), axis=-1)
-        ranked = np.take_along_axis(estimates, order, axis=-1)
-    estimates = ranked
-    withins = np.take_along_axis(withins, order, axis=-1)
+        order += starts
+        ranked = estimates.take(order)
+    estimates = ranked.reshape(shape)
+    withins = withins.take(order).reshape(shape)
 
     # np.mean and np.var(ddof=1) as numpy computes them, sharing one sum.
     # Finite inputs near the float64 limit can overflow; that is reported below.

@@ -4,12 +4,27 @@
 row, each checked as it is built.  ``miplan.read_results_csv`` parses and
 checks the same file by column, and must return the same values or raise
 the same message.
+
+``mean_analyses`` is the engine's closed form as one expression per
+quantity, a new array per operator.  ``miplan.imputer.mean_analyses``
+evaluates the same operations with its temporaries reused in place, and
+must return the same bits.
+
+``required_m`` is the required-m search with its bracket probe: it probes
+m_hi before bisecting and gives up there when that probe fails.
+``miplan.required_m`` skips that probe, whose value never steers the
+bisection, and must return the same m wherever this one returns.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
+import numpy as np
+
+from miplan.imputer import IncompleteBivariate, MeanStats
+from miplan.montecarlo import TAG_CONFIRM, TAG_PROBE, derive_seed, empirical_cv
 from miplan.pooling import RESULTS_CSV_HEADER, ImputationResult
 
 
@@ -61,3 +76,61 @@ def read_results_csv(path: str) -> list[ImputationResult]:
         missing = next(i for i in range(1, len(rows) + 1) if i not in rows)
         raise ValueError(f"invalid input: {path}: missing imputation index {missing}")
     return [rows[i] for i in sorted(rows)]
+
+
+def mean_analyses(s: MeanStats, chi2, z0, z1, sum_z, sum_dz, sum_z2):
+    """The estimates and within variances of completed data, in closed form."""
+    n = s.n
+    if s.k == 0:
+        shape = np.shape(chi2)
+        return np.full(shape, s.y_mean), np.full(shape, s.syy / ((n - 1) * n))
+    sigma = np.sqrt(s.rss / chi2)
+    beta1 = s.slope + sigma * z1 / math.sqrt(s.sxx)
+    a = sigma * z0 / math.sqrt(s.n_obs) + beta1 * s.shift
+    t1 = s.k * a + sigma * sum_z
+    t2 = (s.syy + s.k * a * a + beta1 * beta1 * s.sdd + sigma * sigma * sum_z2
+          + 2.0 * sigma * (a * sum_z + beta1 * sum_dz))
+    return s.y_mean + t1 / n, (t2 - t1 * t1 / n) / ((n - 1) * n)
+
+
+def required_m(
+    data: IncompleteBivariate,
+    cv_target: float,
+    m_hi: int = 512,
+    reps: int = 200,
+    seed: int = 0,
+) -> int:
+    """Bisect on m after probing both ends of [2, m_hi], then confirm the
+    candidate on fresh draws, stepping it up by about 10% while it fails."""
+    if not (0.0 < cv_target < 1.0):
+        raise ValueError(f"domain error: cv_target must be in (0, 1), got {cv_target!r}")
+    if not m_hi > 2:
+        raise ValueError(f"domain error: need m_hi > 2, got {m_hi}")
+
+    def probe(m: int, tag: int) -> float:
+        return empirical_cv(data, m, reps, derive_seed(seed, tag, m)).cv_se
+
+    if probe(2, TAG_PROBE) <= cv_target:
+        candidate = 2
+    elif probe(m_hi, TAG_PROBE) > cv_target:
+        raise ValueError(
+            f"search exhausted: cv_se stays above {cv_target} at m_hi={m_hi}"
+        )
+    else:
+        lo, hi = 2, m_hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if probe(mid, TAG_PROBE) <= cv_target:
+                hi = mid
+            else:
+                lo = mid
+        candidate = hi
+
+    while True:
+        if probe(candidate, TAG_CONFIRM) <= cv_target:
+            return candidate
+        if candidate >= m_hi:
+            raise ValueError(
+                f"search exhausted: cv_se stays above {cv_target} up to m_hi={m_hi}"
+            )
+        candidate = min(m_hi, candidate + max(1, candidate // 10))

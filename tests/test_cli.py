@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,6 +176,23 @@ class TestPlan:
             assert payload["m_uncapped"] > 10000 and payload["cv_target"] > 0.0
         else:
             assert payload["m_uncapped"] is None
+
+    @pytest.mark.parametrize("value, echo", [("200", "200"), ("9e307", "9.0000000000000005e+307")])
+    def test_df_goal_is_echoed(self, pilot_csv_factory, capsys, value, echo):
+        argv = ["plan", "--pilot", self.pilot_path(pilot_csv_factory), "--target-df", value]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert f'  "df_implied": {echo},\n' in out
+        assert json.loads(out)["df_implied"] == float(value)
+
+    def test_huge_uncapped_count_prints_as_a_float(self, pilot_csv_factory, capsys):
+        """A 64-bit JSON reader rejects a 308-digit integer literal; json
+        parses an integer literal as an int, and a float literal as a float."""
+        path = pilot_csv_factory(make_pilot_results(5, 0.39, 2.7))
+        code, out, _ = run_cli(capsys, ["plan", "--pilot", path, "--target-df", "8.9e307"])
+        assert code == 0
+        m_uncapped = json.loads(out)["m_uncapped"]
+        assert isinstance(m_uncapped, float) and math.isfinite(m_uncapped) and m_uncapped > 1e307
 
     def test_max_m_below_two_exits_one(self, pilot_csv_factory, capsys):
         argv = ["plan", "--pilot", self.pilot_path(pilot_csv_factory), "--target-cv", "0.05"]

@@ -5,7 +5,8 @@ without building them: ``imputer.draw_mean_variates`` (bound as
 ``montecarlo.impute_m``) draws their variates, and ``mean_analyses`` turns
 them into analyses.
 These tests hold it to the reference path, ``impute_m`` + ``analyze_mean``:
-its closed form exactly, its variates in distribution, and its call pattern.
+its closed form exactly, its variates in distribution, and its call pattern;
+and its in-place kernel to ``reference.mean_analyses`` bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from miplan import (
 from miplan import montecarlo
 from miplan.imputer import draw_mean_variates, mean_analyses
 from miplan.montecarlo import BLOCK_IMPUTATIONS, TAG_DATA, TAG_REP, _pool_once
+
+import reference
 
 
 def shifted(data: IncompleteBivariate, dx: float, dy: float) -> IncompleteBivariate:
@@ -119,6 +122,26 @@ def test_no_missing_values_give_the_observed_analysis():
     estimates, withins = mean_analyses(complete.mean_stats, *variates)
     assert np.all(estimates == observed.estimate)
     assert withins == pytest.approx(np.full(4, observed.within_variance), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS) + ["no_missing"])
+def test_in_place_kernel_matches_the_expression_form(name):
+    """mean_analyses reuses its temporaries in place; reference.mean_analyses
+    makes a new array per operator.  Same operations, so the same bits, on
+    one pooling's variates and on a block's (reps, m) view of them."""
+    if name == "no_missing":
+        d = gen_incomplete(50, 0.3, 0.2, stream(8, TAG_DATA))
+        data = IncompleteBivariate(d.x[~d.missing_mask], d.y[~d.missing_mask])
+    else:
+        data = DATASETS[name]()
+    s = data.mean_stats
+    for seed in range(5):
+        variates = draw_mean_variates(data, 6 * 35, np.random.default_rng(seed))
+        for shape in [(6 * 35,), (6, 35)]:
+            args = [v.reshape(shape) for v in variates]
+            for fast, slow in zip(mean_analyses(s, *args), reference.mean_analyses(s, *args)):
+                assert fast.shape == slow.shape == shape
+                assert fast.tobytes() == slow.tobytes()
 
 
 def test_errors_match_the_reference_path():

@@ -26,13 +26,23 @@ from miplan import (
     required_m,
     run_two_stage,
     run_two_stage_experiment,
+    simulated_required_m,
     stream,
     summarize_two_stage,
 )
 from miplan.imputer import draw_mean_variates, mean_analyses
-from miplan.montecarlo import BLOCK_IMPUTATIONS, TAG_DATA, TAG_FINAL, TAG_REP, calibrate_gamma
+from miplan.montecarlo import (
+    BLOCK_IMPUTATIONS,
+    TAG_CONFIRM,
+    TAG_DATA,
+    TAG_FINAL,
+    TAG_REP,
+    calibrate_gamma,
+)
+from miplan.planning import DEFAULT_M_MAX, m_for_se_cv
 from miplan.pooling import PooledReplicates, pool_arrays
 
+import reference
 from conftest import make_pilot_results
 
 
@@ -252,6 +262,42 @@ class TestRequiredM:
         d = gen_incomplete(300, 0.0, 0.5, stream(13, TAG_DATA))
         with pytest.raises(ValueError, match="search exhausted"):
             required_m(d, 0.011, m_hi=6, reps=100, seed=13)
+
+    def test_search_exhausted_when_m_hi_fails(self):
+        """The confirmation loop checks the bracket: when the probe at m_hi
+        fails, the search steps up to m_hi and raises there."""
+        d = gen_incomplete(300, 0.0, 0.5, stream(9200, TAG_DATA))
+        confirm = empirical_cv(d, 14, 100, derive_seed(9200, TAG_CONFIRM, 14)).cv_se
+        assert confirm > 0.1
+        with pytest.raises(ValueError, match=r"^search exhausted: cv_se stays above 0\.1 up to m_hi=14$"):
+            required_m(d, 0.1, m_hi=14, reps=100, seed=9200)
+
+    @pytest.mark.parametrize("seed, m_hi, expected", [(9216, 14, 13), (9224, 12, 12)])
+    def test_failed_bracket_probe_no_longer_ends_the_search(self, seed, m_hi, expected):
+        """The reference search gives up when its probe at m_hi fails; the
+        search returns an m once that m passes its confirmation probe."""
+        d = gen_incomplete(300, 0.0, 0.5, stream(seed, TAG_DATA))
+        with pytest.raises(ValueError, match=f"^search exhausted: .* at m_hi={m_hi}$"):
+            reference.required_m(d, 0.1, m_hi=m_hi, reps=100, seed=seed)
+        assert required_m(d, 0.1, m_hi=m_hi, reps=100, seed=seed) == expected
+        confirm = empirical_cv(d, expected, 100, derive_seed(seed, TAG_CONFIRM, expected))
+        assert confirm.cv_se <= 0.1
+
+    @pytest.mark.parametrize("gamma, cv", [(0.5, 0.1), (0.3, 0.25)])
+    def test_simulated_search_matches_the_reference_search(self, gamma, cv):
+        """Dropping the bracket probe moves no other probe's draws, so on
+        simulated_required_m's dataset and bracket the search returns the
+        reference search's m.  At (0.3, 0.25) about half the seeds return
+        the floor of 2, and the rest bisect."""
+        n, reps = 300, 100
+        m_hi = min(DEFAULT_M_MAX, 3 * m_for_se_cv(gamma, cv) + 16)
+        found = []
+        for seed in range(9300, 9340):
+            d = gen_incomplete(n, 0.0, calibrate_missing_fraction(gamma), stream(seed, TAG_DATA))
+            m = simulated_required_m(gamma, cv, n=n, reps=reps, seed=seed)
+            assert m == reference.required_m(d, cv, m_hi=m_hi, reps=reps, seed=seed), seed
+            found.append(m)
+        assert (min(found) == 2) == (gamma == 0.3) and max(found) > 2
 
     def test_domain_errors(self):
         d = gen_incomplete(300, 0.0, 0.5, stream(14, TAG_DATA))

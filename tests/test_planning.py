@@ -18,6 +18,7 @@ from miplan import (
     recommend,
     variance_inflation,
 )
+from miplan.planning import _capped_count
 from conftest import make_pilot_results
 
 
@@ -192,6 +193,31 @@ class TestRecommend:
         assert rec.m_uncapped == m_for_se_cv(rec.gamma_used, 1e-4, m_max=10**9)
         assert (overflow.m_required, overflow.capped) == (10_000, True)
         assert overflow.m_uncapped == overflow.df_implied == math.inf
+
+    def test_df_goal_is_echoed_exactly(self):
+        """df_implied of a df goal is the goal itself, not the df of its CV,
+        which misses it in the last bit for about half of all goals."""
+        pilot = self.pilot()
+        rng = np.random.default_rng(20)
+        goals = [200.0, 9e307, *(10.0 ** rng.uniform(0.0, 308.0, 1000))]
+        assert sum(df_for_cv(ReplicabilityTarget("df", g).cv_of_se(1.0)) != g for g in goals) > 100
+        for goal in goals:
+            assert recommend(pilot, ReplicabilityTarget("df", goal)).df_implied == goal
+        cv = recommend(pilot, ReplicabilityTarget("cv_of_se", 0.05))
+        assert cv.df_implied == df_for_cv(0.05)
+
+    def test_huge_uncapped_count_is_a_float(self):
+        """Up to 2**53 the uncapped count is an exact int; above it, the
+        float it already is."""
+        for raw, uncapped in [(1e15, 999_999_999_000_000), (2.0**53, 2**53 - 9_007_199)]:
+            assert _capped_count(raw, 10) == (10, uncapped)
+            assert type(_capped_count(raw, 10)[1]) is int
+        for raw in (2.0**54, 1.8e306):
+            count, uncapped = _capped_count(raw, 10)
+            assert (count, type(uncapped)) == (10, float)
+            assert math.isfinite(uncapped) and uncapped == math.ceil(raw - 1e-9 * raw)
+        rec = recommend(self.pilot(se=2.7), ReplicabilityTarget("df", 8.9e307))
+        assert (rec.m_required, rec.capped, type(rec.m_uncapped)) == (10_000, True, float)
 
     def test_target_kinds_agree(self):
         pilot = self.pilot()
