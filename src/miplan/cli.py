@@ -347,7 +347,8 @@ def _sim_curve(args) -> int:
         if args.simulated:  # after curve_data has checked every gamma
             simulated = [
                 simulated_required_m(r.gamma, args.cv_target, n=args.n, reps=args.reps,
-                                     seed=derive_seed(args.seed, i), rho=args.rho)
+                                     seed=derive_seed(args.seed, i), rho=args.rho,
+                                     m_max=args.max_m)
                 for i, r in enumerate(rows)
             ]
         text = csv_text(

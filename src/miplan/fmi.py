@@ -73,9 +73,10 @@ def gamma_ci(gamma_hat: float, m: int, level: float = 0.95) -> GammaInterval:
     simulation (bivariate normal data, n of 200 and 2000, gamma from .1
     to .9) a 95% interval covered the truth 83-84% of the time at m = 3,
     88-89% at m = 5, 92-93% at m = 10 and 93-95% at m >= 20; its upper
-    bound fell below the truth 14%, 8.5-9% and 5-6% of the time at m = 3,
-    5 and 10, against 2.5% nominal.  Pool m >= 20 imputations when the
-    upper bound matters, as it does in planning.recommend.
+    bound fell below the truth 14.0-15.2%, 8.3-9.3%, 4.4-6.6% and
+    3.3-5.2% of the time at m = 3, 5, 10 and 20, against 2.5% nominal.
+    Pool m >= 20 imputations when the upper bound matters, as it does in
+    planning.recommend.
     """
     if m < 2:
         raise ValueError(f"insufficient imputations: need m >= 2, got {m}")

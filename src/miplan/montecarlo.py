@@ -40,11 +40,10 @@ from .pooling import PooledAnalysis, PooledReplicates, pool_arrays, pool_rows
 
 # Spawn-key tags keep the dataset, the replications, the search probes,
 # calibrate_gamma's datasets and the two-stage finals on disjoint streams
-# of one seed.
+# of one seed.  Tag 3 is unused, so that no other stream moved.
 TAG_DATA = 0
 TAG_REP = 1
 TAG_PROBE = 2
-TAG_CONFIRM = 3
 TAG_CALIBRATE = 4
 TAG_FINAL = 5
 
@@ -396,44 +395,35 @@ def required_m(
     """Smallest m in [2, m_hi] whose measured SE coefficient of
     variation on this dataset is at or below cv_target.
 
-    Bisects on m (the CV is monotone decreasing in m); probe noise is
-    controlled by a fixed number of replications per probe plus a
-    confirmation probe on an independent stream at the returned m.  Every
-    probe draws its own stream, derive_seed(seed, tag, m).  The bisection
-    never probes m_hi; the confirmation loop checks the bracket instead:
-    it steps the candidate up by about 10% until a probe passes, and
-    raises ``search exhausted`` when the probe at m_hi fails too.  So a
-    search whose m_hi fails runs the whole bisection and every
-    confirmation step before it raises.
+    One bisection on m (the CV is monotone decreasing in m); probe m
+    measures the CV over reps replications on its own stream,
+    derive_seed(seed, TAG_PROBE, m).  Returns 2 if the probe at 2 passes,
+    else the smallest probed m that passed.  m_hi is probed only when every
+    bisection probe failed; if it fails too, raises ``search exhausted``.
+    Near the floor a noisy probe can pass one step below the m where the
+    CV curve crosses cv_target (README).
     """
     if not (0.0 < cv_target < 1.0):
         raise ValueError(f"domain error: cv_target must be in (0, 1), got {cv_target!r}")
-    if not m_hi > 2:
-        raise ValueError(f"domain error: need m_hi > 2, got {m_hi}")
+    if not m_hi >= 2:
+        raise ValueError(f"domain error: need m_hi >= 2, got {m_hi}")
 
-    def probe(m: int, tag: int) -> float:
-        return empirical_cv(data, m, reps, derive_seed(seed, tag, m)).cv_se
+    def passes(m: int) -> bool:
+        return empirical_cv(data, m, reps, derive_seed(seed, TAG_PROBE, m)).cv_se <= cv_target
 
-    if probe(2, TAG_PROBE) <= cv_target:
-        candidate = 2
-    else:
-        lo, hi = 2, m_hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if probe(mid, TAG_PROBE) <= cv_target:
-                hi = mid
-            else:
-                lo = mid
-        candidate = hi
-
-    while True:
-        if probe(candidate, TAG_CONFIRM) <= cv_target:
-            return candidate
-        if candidate >= m_hi:
-            raise ValueError(
-                f"search exhausted: cv_se stays above {cv_target} up to m_hi={m_hi}"
-            )
-        candidate = min(m_hi, candidate + max(1, candidate // 10))
+    if passes(2):
+        return 2
+    lo, hi = 2, m_hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    # hi == lo only when m_hi is 2, whose probe already failed.
+    if hi == m_hi and (hi == lo or not passes(hi)):
+        raise ValueError(f"search exhausted: cv_se stays above {cv_target} up to m_hi={m_hi}")
+    return hi
 
 
 @dataclass(frozen=True)
@@ -528,15 +518,17 @@ def simulated_required_m(
     reps: int = 200,
     seed: int = 0,
     rho: float = 0.0,
+    m_max: int = DEFAULT_M_MAX,
 ) -> int:
     """Empirical required m at the true fraction of missing information gamma.
 
     Sets the missing fraction from gamma by calibrate_missing_fraction's
     closed form, draws one dataset on the seed's data stream, and searches
     for the smallest m meeting cv_target on it (see required_m), up to
-    three times the quadratic rule's m plus 16, at most DEFAULT_M_MAX.
+    three times the quadratic rule's m plus 16, at most m_max.  A goal
+    that no m up to that cap meets raises ``search exhausted``.
     """
     p = calibrate_missing_fraction(gamma, rho)
     data = gen_incomplete(n, rho, p, stream(seed, TAG_DATA))
-    m_hi = min(DEFAULT_M_MAX, 3 * m_for_se_cv(gamma, cv_target) + 16)
+    m_hi = min(m_max, 3 * m_for_se_cv(gamma, cv_target) + 16)
     return required_m(data, cv_target, m_hi=m_hi, reps=reps, seed=seed)

@@ -154,11 +154,11 @@ def recommend(
     level the pilot was pooled at, as a conservative plug-in.  Nominally
     the true gamma exceeds it with probability (1 - level) / 2, 2.5% at
     the default level, but at pilot sizes the bound is too low more often
-    (see fmi.gamma_ci): in simulation it fell below the truth 14% of the
-    time at m = 3, 8.5-9% at m = 5 and 5-6% at m = 10.  Use a pilot of
-    m >= 20 when the bound matters.  The caller decides whether to stop
-    (pilot_sufficient) or run a final analysis with m_required fresh
-    imputations.
+    (see fmi.gamma_ci): in simulation it fell below the truth 14.0-15.2%
+    of the time at m = 3, 8.3-9.3% at m = 5, 4.4-6.6% at m = 10 and
+    3.3-5.2% at m = 20.  Use a pilot of m >= 20 when the bound matters.
+    The caller decides whether to stop (pilot_sufficient) or run a final
+    analysis with m_required fresh imputations.
 
     A rule count above m_max is cut to m_max without a warning; the
     result reports it through capped and m_uncapped.  pilot_sufficient

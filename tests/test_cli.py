@@ -449,6 +449,24 @@ class TestSimulate:
         assert code == 0
         assert [int(line.split(",")[3]) for line in out.splitlines()[1:]] == expected
 
+    @pytest.mark.parametrize("gammas, cv, max_m", [("0.5", "0.01", "30"), ("0.5", "0.05", "2")])
+    def test_curve_simulated_search_stops_at_max_m(self, capsys, gammas, cv, max_m):
+        """The simulated column searches no higher than --max-m; a goal that
+        no m up to it meets exits 1."""
+        assert_one_error_line(run_cli(capsys, [
+            "simulate", "--experiment", "curve", "--simulated", "--gammas", gammas,
+            "--cv-target", cv, "--max-m", max_m, "--n", "300", "--reps", "100",
+        ]), f"search exhausted: cv_se stays above {cv} up to m_hi={max_m}\n")
+
+    def test_curve_simulated_at_max_m_two_can_answer_two(self, capsys):
+        code, out, err = run_cli(capsys, [
+            "simulate", "--experiment", "curve", "--simulated", "--gammas", "0.1",
+            "--cv-target", "0.2", "--max-m", "2", "--n", "300", "--reps", "100",
+        ])
+        assert code == 0
+        assert out.splitlines()[1].split(",")[1:] == ["2", "2", "2"]
+        assert err == "note: m_required capped at --max-m 2\n"
+
     def test_curve_checks_every_gamma_before_simulating(self, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "simulated_required_m", lambda *a, **k: calls.append(a) or 2)

@@ -9,6 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import miplan.montecarlo as montecarlo
 from miplan import (
     ExperimentConfig,
     ReplicabilityTarget,
@@ -33,9 +34,9 @@ from miplan import (
 from miplan.imputer import draw_mean_variates, mean_analyses
 from miplan.montecarlo import (
     BLOCK_IMPUTATIONS,
-    TAG_CONFIRM,
     TAG_DATA,
     TAG_FINAL,
+    TAG_PROBE,
     TAG_REP,
     calibrate_gamma,
 )
@@ -253,6 +254,16 @@ class TestEmpiricalCv:
         assert rel_err(2000) < rel_err(200)
 
 
+@pytest.fixture
+def probed(monkeypatch):
+    """The m of each probe that required_m makes, in order."""
+    ms = []
+    real = montecarlo.empirical_cv
+    monkeypatch.setattr(montecarlo, "empirical_cv",
+                        lambda data, m, *rest: ms.append(m) or real(data, m, *rest))
+    return ms
+
+
 class TestRequiredM:
     def test_floor_when_target_loose(self):
         d = gen_incomplete(300, 0.0, 0.5, stream(12, TAG_DATA))
@@ -264,24 +275,30 @@ class TestRequiredM:
             required_m(d, 0.011, m_hi=6, reps=100, seed=13)
 
     def test_search_exhausted_when_m_hi_fails(self):
-        """The confirmation loop checks the bracket: when the probe at m_hi
-        fails, the search steps up to m_hi and raises there."""
+        """When every bisection probe fails, the search probes m_hi on its
+        TAG_PROBE stream and raises there if that probe fails too."""
         d = gen_incomplete(300, 0.0, 0.5, stream(9200, TAG_DATA))
-        confirm = empirical_cv(d, 14, 100, derive_seed(9200, TAG_CONFIRM, 14)).cv_se
-        assert confirm > 0.1
+        for m in (2, 8, 11, 12, 13, 14):
+            assert empirical_cv(d, m, 100, derive_seed(9200, TAG_PROBE, m)).cv_se > 0.1
         with pytest.raises(ValueError, match=r"^search exhausted: cv_se stays above 0\.1 up to m_hi=14$"):
             required_m(d, 0.1, m_hi=14, reps=100, seed=9200)
 
-    @pytest.mark.parametrize("seed, m_hi, expected", [(9216, 14, 13), (9224, 12, 12)])
-    def test_failed_bracket_probe_no_longer_ends_the_search(self, seed, m_hi, expected):
-        """The reference search gives up when its probe at m_hi fails; the
-        search returns an m once that m passes its confirmation probe."""
+    @pytest.mark.parametrize("seed, m_hi, expected", [(9216, 14, 13), (9245, 12, 10), (9202, 14, 14)])
+    def test_failed_bracket_probe_no_longer_ends_the_search(self, probed, seed, m_hi, expected):
+        """m_hi is probed only when the bisection reaches it.  At seeds 9216
+        and 9245 the reference search gives up on its failed probe at m_hi,
+        and the search returns a smaller m without probing m_hi; at 9202
+        every bisection probe fails, and the search probes m_hi, which
+        passes, as in the reference."""
         d = gen_incomplete(300, 0.0, 0.5, stream(seed, TAG_DATA))
-        with pytest.raises(ValueError, match=f"^search exhausted: .* at m_hi={m_hi}$"):
-            reference.required_m(d, 0.1, m_hi=m_hi, reps=100, seed=seed)
         assert required_m(d, 0.1, m_hi=m_hi, reps=100, seed=seed) == expected
-        confirm = empirical_cv(d, expected, 100, derive_seed(seed, TAG_CONFIRM, expected))
-        assert confirm.cv_se <= 0.1
+        assert (m_hi in probed) == (expected == m_hi)
+        assert len(probed) == len(set(probed))
+        if expected < m_hi:
+            with pytest.raises(ValueError, match=f"^search exhausted: .* at m_hi={m_hi}$"):
+                reference.required_m(d, 0.1, m_hi=m_hi, reps=100, seed=seed)
+        else:
+            assert reference.required_m(d, 0.1, m_hi=m_hi, reps=100, seed=seed) == expected
 
     @pytest.mark.parametrize("gamma, cv", [(0.5, 0.1), (0.3, 0.25)])
     def test_simulated_search_matches_the_reference_search(self, gamma, cv):
@@ -299,12 +316,37 @@ class TestRequiredM:
             found.append(m)
         assert (min(found) == 2) == (gamma == 0.3) and max(found) > 2
 
+    def test_mean_answer_is_near_the_crossing(self):
+        """Over 200 probe seeds on one dataset (n = 300, gamma = .5, cv .1,
+        100 replications a probe, simulated_required_m's bracket), the mean
+        answer is within 5% of the m at which the dataset's CV(SE) curve,
+        pooled at 40,000 replications per m, crosses the goal."""
+        gamma, cv, n, reps = 0.5, 0.1, 300, 100
+        d = gen_incomplete(n, 0.0, calibrate_missing_fraction(gamma), stream(31415, TAG_DATA))
+        rule = m_for_se_cv(gamma, cv)
+        truth = reference.crossing_m(d, cv, rule, seed=31415)
+        found = [required_m(d, cv, m_hi=3 * rule + 16, reps=reps, seed=seed)
+                 for seed in range(61000, 61200)]
+        assert abs(np.mean(found) / truth - 1) < 0.05, (np.mean(found), truth)
+
     def test_domain_errors(self):
         d = gen_incomplete(300, 0.0, 0.5, stream(14, TAG_DATA))
         with pytest.raises(ValueError, match="domain error"):
             required_m(d, 1.2, seed=14)
         with pytest.raises(ValueError, match="domain error"):
-            required_m(d, 0.05, m_hi=2, seed=14)
+            required_m(d, 0.05, m_hi=1, seed=14)
+
+    @pytest.mark.parametrize("cv_target, expected", [(0.5, 2), (0.05, None)])
+    def test_m_hi_of_two_probes_only_the_floor(self, probed, cv_target, expected):
+        """At m_hi = 2 the search is its probe at 2: it returns 2 or raises
+        search exhausted, and probes nothing twice."""
+        d = gen_incomplete(300, 0.0, 0.5, stream(14, TAG_DATA))
+        if expected is None:
+            with pytest.raises(ValueError, match=r"^search exhausted: .* up to m_hi=2$"):
+                required_m(d, cv_target, m_hi=2, reps=100, seed=14)
+        else:
+            assert required_m(d, cv_target, m_hi=2, reps=100, seed=14) == expected
+        assert probed == [2]
 
 
 class TestPoolReplicates:
