@@ -109,8 +109,8 @@ def pool(
     results : ImputationResults, or an iterable of ImputationResult or of
         (estimate, variance) pairs
         One entry per imputation; at least two are required.  The columns
-        of an ImputationResults, checked when it was read, go straight to
-        pool_arrays; any other entry is first checked as an ImputationResult.
+        of an ImputationResults were checked when it was read; any other
+        entry is first checked as an ImputationResult.
     level : float
         Confidence level for both the gamma interval and the interval
         for the pooled estimate.
@@ -118,15 +118,20 @@ def pool(
     Returns
     -------
     PooledAnalysis
+
+    The rows come from a user, in whatever order the user wrote them, so
+    they are put in one canonical order, by estimate and then by within
+    variance, before ``pool_arrays`` sums them: the result is bit-identical
+    under any permutation of the rows.
     """
     if isinstance(results, ImputationResults):
-        return pool_arrays(results.estimates, results.withins, level)
-    items = [r if isinstance(r, ImputationResult) else ImputationResult(*r) for r in results]
-    return pool_arrays(
-        np.array([r.estimate for r in items], dtype=np.float64),
-        np.array([r.within_variance for r in items], dtype=np.float64),
-        level,
-    )
+        estimates, withins = results.estimates, results.withins
+    else:
+        items = [r if isinstance(r, ImputationResult) else ImputationResult(*r) for r in results]
+        estimates = np.array([r.estimate for r in items], dtype=np.float64)
+        withins = np.array([r.within_variance for r in items], dtype=np.float64)
+    order = np.lexsort((withins, estimates))
+    return pool_arrays(estimates[order], withins[order], level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +141,8 @@ class PooledReplicates:
     Entry i of every array is pooling i's field of PooledAnalysis; the
     intervals, which no measurement uses, are left out (``analysis`` adds
     them for one pooling).  ``pool_rows`` of one 1-d pooling gives Python
-    floats instead of arrays.
+    floats instead of arrays.  Each pooling sums its imputations in the
+    order they were drawn.
     """
 
     m: int
@@ -177,6 +183,13 @@ class PooledReplicates:
 def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
     """Rubin's rules along the last axis: one pooling per row of m imputations.
 
+    Each row is summed in the order given.  Only ``pool``, whose rows a user
+    writes in any order, sorts them first; a simulated row's order is
+    already fixed by the stream that drew it, so a canonical order buys
+    nothing there.  A row of a block whose rows lie contiguous along the
+    last axis (C order, or a slice of its leading columns) pools bit for
+    bit as that row alone.
+
     The callers vouch for the entries (finite estimates, finite variances
     >= 0): ``pool`` checks them, and the Monte Carlo engine draws them.
     An overflowing or non-positive pooled variance is still rejected; among
@@ -186,15 +199,10 @@ def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
     if m < 2:
         raise ValueError(f"insufficient imputations: need at least 2, got {m}")
 
-    # Canonical ordering makes the result bit-identical under permutation
-    # of the inputs: by estimate, then by within variance.  One row takes
-    # lexsort and plain indexing, the cheapest at pilot sizes, and after the
-    # sums does its arithmetic in Python floats: the same IEEE operations as
-    # the block's, so the same bits, without numpy's cost per scalar.
+    # One row does its arithmetic in Python floats after the sums: the same
+    # IEEE operations as the block's, so the same bits, without numpy's cost
+    # per scalar, which dominates at pilot sizes.
     if estimates.ndim == 1:
-        order = np.lexsort((withins, estimates))
-        estimates, withins = estimates[order], withins[order]
-        # As below, but in Python floats after the sums.
         with np.errstate(over="ignore", invalid="ignore"):
             theta = float(np.add.reduce(estimates)) / m
             dev = estimates - theta
@@ -206,25 +214,6 @@ def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
         gamma_hat = min(max(gamma_raw, GAMMA_EPS), 1.0 - GAMMA_EPS)
         return PooledReplicates(m, theta, w_bar, b, v_total, math.sqrt(v_total),
                                 gamma_hat, gamma_raw, (m - 1) / (gamma_hat * gamma_hat))
-
-    # A block takes argsort of the estimates, several times cheaper than
-    # lexsort along its rows; when no row holds two equal estimates, each row
-    # has only one sorted order, so it is lexsort's.  A block with a tie in
-    # any row (-0.0 == 0.0 and equal infinities count) takes lexsort instead.
-    # The order, offset by each row's start, indexes the flattened block, so
-    # each array is gathered by one flat take.
-    shape = estimates.shape
-    estimates, withins = estimates.reshape(-1, m), withins.reshape(-1, m)
-    starts = np.arange(0, estimates.size, m)[:, None]
-    order = np.argsort(estimates, axis=-1)
-    order += starts
-    ranked = estimates.take(order)
-    if (ranked[:, 1:] == ranked[:, :-1]).any():
-        order = np.lexsort((withins, estimates), axis=-1)
-        order += starts
-        ranked = estimates.take(order)
-    estimates = ranked.reshape(shape)
-    withins = withins.take(order).reshape(shape)
 
     # np.mean and np.var(ddof=1) as numpy computes them, sharing one sum.
     # Finite inputs near the float64 limit can overflow; that is reported below.

@@ -95,6 +95,17 @@ def test_output_matches_golden(name, tmp_path):
     assert run_case(name, tmp_path) == golden(name)
 
 
+def test_every_golden_file_belongs_to_a_case():
+    # each is <case>.<suffix> or the pilot input, so a renamed or dropped
+    # case cannot leave its files behind
+    orphans = []
+    for path in GOLDEN.iterdir():
+        case, _, suffix = path.name.partition(".")
+        if path.name != "pilot.csv" and not (case in CASES and suffix):
+            orphans.append(path.name)
+    assert orphans == []
+
+
 def test_record_rejects_unknown_cases():
     with pytest.raises(SystemExit, match="unknown golden case: 'no_such_case'"):
         record(["cv_check", "no_such_case"])

@@ -128,6 +128,25 @@ def test_permutation_invariance_is_exact(ests, w, data):
 
 
 @given(
+    rows=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)), min_size=2, max_size=30),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_results_csv_pools_identically_under_any_index_order(rows, data):
+    assume(float(np.mean([w for _, w in rows])) > 0.0)
+    indices = data.draw(st.permutations(range(1, len(rows) + 1)))
+    pooled = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, order in (("in_order", range(1, len(rows) + 1)), ("shuffled", indices)):
+            path = Path(scratch) / f"{name}.csv"
+            path.write_text("imputation,estimate,variance\n" + "".join(
+                f"{i},{e!r},{w!r}\n" for i, (e, w) in zip(order, rows)))
+            pooled.append(repr(pool(read_results_csv(str(path)))))
+    # repr keeps every float's bits, the sign of zero included
+    assert pooled[0] == pooled[1]
+
+
+@given(
     ests=st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=10),
     w=st.floats(min_value=1e-3, max_value=10.0),
     k=st.floats(min_value=1.1, max_value=10.0),
@@ -163,8 +182,10 @@ def test_total_variance_dominates_within(ests, w):
 def test_pool_arrays_is_pool_bit_for_bit(rows, level):
     assume(float(np.mean([w for _, w in rows])) > 0.0)
     estimates, withins = (np.array(column) for column in zip(*rows))
+    # pool puts a user's rows in lexsort order; pool_arrays pools them as given
+    order = np.lexsort((withins, estimates))
     # repr keeps every float's bits, the sign of zero included
-    assert repr(pool_arrays(estimates, withins, level)) == repr(pool(rows, level))
+    assert repr(pool_arrays(estimates[order], withins[order], level)) == repr(pool(rows, level))
 
 
 KERNEL_FIELDS = ("theta", "w_bar", "b", "v_total", "se", "gamma_hat", "gamma_raw", "df_hat")
@@ -211,11 +232,10 @@ def test_pool_rows_is_pool_arrays_row_by_row(data, reps, m, bad):
             # repr keeps every float's bits, the sign of zero included
             assert repr(getattr(pooled, field)[r].item()) == repr(getattr(row, field)), field
         assert repr(pooled.analysis(r, 0.95)) == repr(row)
-        # the sums are numpy's own mean and var(ddof=1) of the canonical order
-        order = np.lexsort((withins[r], estimates[r]))
-        assert repr(row.theta) == repr(float(np.mean(estimates[r][order])))
-        assert repr(row.b) == repr(float(np.var(estimates[r][order], ddof=1)))
-        assert repr(row.w_bar) == repr(float(np.mean(withins[r][order])))
+        # the sums are numpy's own mean and var(ddof=1) of the row as given
+        assert repr(row.theta) == repr(float(np.mean(estimates[r])))
+        assert repr(row.b) == repr(float(np.var(estimates[r], ddof=1)))
+        assert repr(row.w_bar) == repr(float(np.mean(withins[r])))
 
 
 def engine_block(reps, m, seed=1515):
@@ -226,25 +246,43 @@ def engine_block(reps, m, seed=1515):
     return mean_analyses(data.mean_stats, *(v.reshape(reps, m) for v in variates))
 
 
-def assert_pooled_in_lexsort_order(estimates, withins):
+def assert_rows_pool_as_alone(estimates, withins, alone=pool_rows):
     """pool_rows of the block is, field by field and bit for bit, each row
-    pooled alone after sorting it by (estimate, within variance)."""
+    pooled alone, by ``alone``, in its given order."""
     pooled = pool_rows(estimates, withins)
     for r, (e, w) in enumerate(zip(estimates, withins)):
-        order = np.lexsort((w, e))
-        alone = pool_rows(e[order], w[order])
+        row = alone(e, w)
         for field in KERNEL_FIELDS:
-            assert repr(getattr(pooled, field)[r].item()) == repr(float(getattr(alone, field)))
+            assert repr(getattr(pooled, field)[r].item()) == repr(float(getattr(row, field)))
+
+
+def lexsorted(estimates, withins):
+    """The block with each row sorted by (estimate, within variance): the
+    order pool puts a user's rows in."""
+    order = np.lexsort((withins, estimates), axis=-1)
+    return np.take_along_axis(estimates, order, -1), np.take_along_axis(withins, order, -1)
+
+
+def assert_pools_as_given_and_in_lexsort_order(estimates, withins):
+    """Each row of the block pools as it would alone in the order given, and
+    a block whose rows are in lexsort order pools each row as pool does."""
+    assert_rows_pool_as_alone(estimates, withins)
+    assert_rows_pool_as_alone(*lexsorted(estimates, withins),
+                              alone=lambda e, w: pool(ImputationResults(e, w)))
 
 
 @pytest.mark.parametrize("reps, m", [(200, 54), (200, 169), (2000, 20)])
 def test_engine_block_pools_in_lexsort_order(reps, m):
-    assert_pooled_in_lexsort_order(*engine_block(reps, m))
+    estimates, withins = engine_block(reps, m)
+    assert_pools_as_given_and_in_lexsort_order(estimates, withins)
+    # the leading columns of a block, as a view, pool as those columns alone
+    assert_rows_pool_as_alone(estimates[:, : m // 2], withins[:, : m // 2])
 
 
 # Rows with a tie.  In the first two, the order among equal estimates
 # changes w_bar's bits: summed in lexsort order the two withins of 1.0 come
-# before 1e16 and survive its rounding; summed 1e16 first, they are lost.
+# before 1e16 and survive its rounding; summed 1e16 first, as given, they
+# are lost.
 TIED_ROWS = {
     "tied estimates": ([0.0, 0.0, -1.0], [1e16, 1.0, 1.0]),
     "signed zeros": ([0.0, -0.0, -1.0], [1e16, 1.0, 1.0]),
@@ -257,10 +295,13 @@ TIED_ROWS = {
 def test_block_with_a_tie_pools_in_lexsort_order(tied):
     estimates = np.array([[3.0, 1.0, 2.0], TIED_ROWS[tied][0], [-5.0, 4.0, 0.5]])
     withins = np.array([[1.0, 2.0, 3.0], TIED_ROWS[tied][1], [0.5, 0.5, 0.5]])
-    assert_pooled_in_lexsort_order(estimates, withins)
+    assert_pools_as_given_and_in_lexsort_order(estimates, withins)
+    as_given = pool_rows(estimates, withins).w_bar[1]
+    in_lexsort_order = pool_rows(*lexsorted(estimates, withins)).w_bar[1]
+    assert (as_given == in_lexsort_order) == (tied == "all equal")
 
 
-def test_lexsort_only_for_one_row_or_a_tie(monkeypatch):
+def test_lexsort_only_in_pool(monkeypatch):
     calls = []
     lexsort = np.lexsort
 
@@ -270,17 +311,16 @@ def test_lexsort_only_for_one_row_or_a_tie(monkeypatch):
 
     monkeypatch.setattr(np, "lexsort", counting_lexsort)
     estimates, withins = engine_block(200, 54)
-    pool_rows(estimates, withins)
-    assert calls == []
     tied = estimates.copy()
     tied[7, 3] = tied[7, 11]
+    pool_rows(estimates, withins)
     pool_rows(tied, withins)
-    assert calls == [(2, 200, 54)]
-    calls.clear()
     pool_rows(estimates[0], withins[0])
     pool_arrays(estimates[0], withins[0])
+    assert calls == []
     pool([(1.0, 0.5), (2.0, 0.5), (3.0, 0.5)])
-    assert calls == [(2, 54), (2, 54), (2, 3)]
+    pool(ImputationResults(estimates[0], withins[0]))
+    assert calls == [(2, 3), (2, 54)]
 
 
 def test_accepts_result_objects_and_pairs():
