@@ -9,7 +9,7 @@ from the predictive distribution at its x.
 ``fit_and_draw``, ``impute_once``, ``impute_m`` and ``analyze_mean`` are
 the reference path: they build every completed dataset.  The engine
 draws what ``analyze_mean`` would return for m imputations from the same
-distribution, using O(1) variates per imputation: ``draw_mean_variates``
+distribution, using four variates per imputation: ``draw_mean_variates``
 draws the variates and ``mean_analyses`` turns them into analyses, for
 one pooling or a block of them.  Both paths read one complete-case fit,
 made once per dataset: ``IncompleteBivariate.mean_stats``.
@@ -213,18 +213,17 @@ def analyze_mean(completed: CompletedDataset) -> ImputationResult:
 class MeanVariates(NamedTuple):
     """The variates of m imputations that ``mean_analyses`` turns into analyses.
 
-    Per imputation: the chi-square and two normals of ``fit_and_draw``'s
-    posterior draw (chi2, z0, z1), and the three sums of the k fill normals
-    the completed mean and variance depend on (sum_z, sum_dz, sum_z2).
-    Every field has the same shape, (m,) for one pooling.
+    Per imputation: the chi-square of ``fit_and_draw``'s posterior draw
+    (chi2), two correlated normals (u, v) that carry its two normals and
+    the fill normals' sum and d-weighted sum, and the rest of the fill
+    normals' sum of squares (rest).  Every field has the same shape, (m,)
+    for one pooling.
     """
 
     chi2: np.ndarray
-    z0: np.ndarray
-    z1: np.ndarray
-    sum_z: np.ndarray
-    sum_dz: np.ndarray
-    sum_z2: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    rest: np.ndarray
 
 
 def draw_mean_variates(
@@ -234,37 +233,65 @@ def draw_mean_variates(
 ) -> MeanVariates:
     """The variates of m proper imputations; the engine's only use of ``rng``.
 
-    Each imputation draws (beta0, beta1, sigma) from one chi-square and two
-    normals, as ``fit_and_draw`` does.  Its k fill normals z enter the
-    completed mean and variance only through sum(z), sum(d z) and
-    sum(z^2).  Since 1 and d are orthogonal, these are exactly
+    Each imputation draws sigma^2 = RSS / chi2(n_obs - 2) and two normals
+    z0, z1 for (beta0, beta1), as ``fit_and_draw`` does.  Its k fill normals
+    z enter the completed mean and variance only through sum(z), sum(d z)
+    and sum(z^2).  Since 1 and d are orthogonal, these are exactly
     sqrt(k) e0, sqrt(Sdd) e1 and e0^2 + e1^2 + chi2(k - 2) for independent
     standard normals e0, e1; for k = 1 they are e0, 0 and e0^2.  (When all
     missing x are equal, Sdd = 0 and sum(z^2) = e0^2 + chi2(k - 1), which
-    e1^2 + chi2(k - 2) matches in distribution.)  With no missing y every
-    imputation is the observed data, so nothing is drawn and the variates
-    are zeros.
+    e1^2 + chi2(k - 2) matches in distribution.)  The analysis then depends
+    on z0, z1, e0 and e1 only through
+
+        u = sqrt(k) shift z1 / sqrt(Sxx) + sqrt(k / n_obs) z0 + e0
+        v = sqrt(Sdd) z1 / sqrt(Sxx) + e1
+
+    (see ``mean_analyses``), a bivariate normal independent of sigma with
+    Var(u) = 1 + k / n_obs + k shift^2 / Sxx, Cov(u, v) = sqrt(k Sdd) shift
+    / Sxx and Var(v) = 1 + Sdd / Sxx.  So each imputation draws four
+    variates: chi2(n_obs - 2), (u, v) from two standard normals through the
+    Cholesky factor of that covariance, and rest = chi2(k - 2).  For k = 1,
+    v and rest are 0 (there is no e1); for k = 2, rest is 0.  With no
+    missing y every imputation is the observed data, so nothing is drawn
+    and the variates are zeros.
     """
     if m < 2:
         raise ValueError(f"insufficient imputations: need m >= 2, got {m}")
     s = data.mean_stats
     if s.k == 0:
-        return MeanVariates(*np.zeros((6, m)))
+        return MeanVariates(*np.zeros((4, m)))
     chi2 = rng.chisquare(s.n_obs - 2, m)
-    z0, z1, e0, e1 = rng.standard_normal((4, m))
-    sum_z2 = e0 * e0
-    if s.k >= 2:
-        sum_z2 += e1 * e1
-    if s.k >= 3:
-        sum_z2 += rng.chisquare(s.k - 2, m)
-    e0 *= math.sqrt(s.k)
-    e1 *= math.sqrt(s.sdd)
-    return MeanVariates(chi2, z0, z1, e0, e1, sum_z2)
+    l11 = math.sqrt(1.0 + s.k / s.n_obs + s.k * s.shift * s.shift / s.sxx)
+    if s.k == 1:
+        u = rng.standard_normal(m)
+        u *= l11
+        return MeanVariates(chi2, u, np.zeros(m), np.zeros(m))
+    # l22^2 = Var(v) - Cov(u, v)^2 / Var(u)
+    #       = 1 + Sdd / Sxx (1 - k shift^2 / (Sxx Var(u))) >= 1,
+    # since k shift^2 / Sxx < Var(u), so the root needs no clamp.
+    l21 = math.sqrt(s.k * s.sdd) * s.shift / s.sxx / l11
+    l22 = math.sqrt(1.0 + s.sdd / s.sxx - l21 * l21)
+    u, v = rng.standard_normal((2, m))
+    v *= l22
+    v += l21 * u
+    u *= l11
+    rest = rng.chisquare(s.k - 2, m) if s.k >= 3 else np.zeros(m)
+    return MeanVariates(chi2, u, v, rest)
 
 
-def mean_analyses(s: MeanStats, chi2, z0, z1, sum_z, sum_dz, sum_z2):
-    """``analyze_mean`` of completed data in closed form, from the posterior
-    variates of ``fit_and_draw`` and the three sums of the fill normals.
+def mean_analyses(s: MeanStats, chi2, u, v, rest):
+    """``analyze_mean`` of completed data in closed form, from the variates
+    ``draw_mean_variates`` draws.
+
+    Centered at the observed mean of y, a filled y_i is
+    a + beta1 d_i + sigma z_i, with sigma = sqrt(RSS / chi2),
+    beta1 = slope + sigma z1 / sqrt(Sxx) and a = sigma z0 / sqrt(n_obs) +
+    beta1 shift.  With G = sqrt(k) a + sigma e0 and H = sqrt(Sdd) beta1 +
+    sigma e1, the completed data's sum is t1 = sqrt(k) G and its centered
+    sum of squares is t2 - t1^2 / n = Syy + (1 - k / n) G^2 + H^2 +
+    sigma^2 rest, a sum of terms that are not negative, so nothing
+    cancels.  In the variates, G = sqrt(k) shift slope + sigma u and
+    H = sqrt(Sdd) slope + sigma v.
 
     Elementwise, so it takes the variates of one pooling, shape (m,), or of
     a block of replications, shape (reps, m), and returns the estimates and
@@ -278,46 +305,26 @@ def mean_analyses(s: MeanStats, chi2, z0, z1, sum_z, sum_dz, sum_z2):
     # place: every product and sum is the same IEEE operation on the same
     # operands (addition and multiplication commute bit for bit), so the
     # bits are the same.
-    #   sigma = sqrt(rss / chi2)
-    #   beta1 = slope + sigma * z1 / sqrt(Sxx)
-    # Centered at the observed mean of y (so the sums of squares below do
-    # not cancel on data with a large mean), a filled y_i is
-    # a + beta1 * d_i + sigma * z_i, with
-    #   a = sigma * z0 / sqrt(n_obs) + beta1 * shift
-    #   t1 = k * a + sigma * sum_z
-    #   t2 = (Syy + k * a * a + beta1 * beta1 * Sdd + sigma * sigma * sum_z2
-    #         + 2 * sigma * (a * sum_z + beta1 * sum_dz))
-    #   estimate = y_mean + t1 / n,  within = (t2 - t1 * t1 / n) / ((n - 1) n)
-    sigma = np.divide(s.rss, chi2)
-    np.sqrt(sigma, out=sigma)
-    beta1 = sigma * z1
-    beta1 /= math.sqrt(s.sxx)
-    beta1 += s.slope
-    tmp = np.multiply(beta1, s.shift)
-    a = sigma * z0
-    a /= math.sqrt(s.n_obs)
-    a += tmp
-    t2 = s.k * a
-    t1 = np.multiply(sigma, sum_z)
-    t1 += t2
-    t2 *= a
-    t2 += s.syy
-    np.multiply(beta1, beta1, out=tmp)
-    tmp *= s.sdd
-    t2 += tmp
-    np.multiply(sigma, sigma, out=tmp)
-    tmp *= sum_z2
-    t2 += tmp
-    np.multiply(a, sum_z, out=tmp)
-    beta1 *= sum_dz
-    tmp += beta1
-    sigma *= 2.0
-    tmp *= sigma
-    t2 += tmp
-    np.multiply(t1, t1, out=tmp)
-    tmp /= n
-    t2 -= tmp
-    t2 /= (n - 1) * n
-    t1 /= n
-    t1 += s.y_mean
-    return t1, t2
+    #   sigma2 = rss / chi2,  sigma = sqrt(sigma2)
+    #   g = sigma * u + sqrt(k) * shift * slope
+    #   h = sigma * v + sqrt(Sdd) * slope
+    #   estimate = y_mean + g * (sqrt(k) / n)
+    #   within = (Syy + (1 - k / n) * (g * g) + h * h + sigma2 * rest) / ((n - 1) n)
+    sigma2 = np.divide(s.rss, chi2)
+    sigma = np.sqrt(sigma2)
+    g = sigma * u
+    g += math.sqrt(s.k) * s.shift * s.slope
+    h = sigma  # sigma's buffer, which nothing reads after g
+    h *= v
+    h += math.sqrt(s.sdd) * s.slope
+    sigma2 *= rest
+    within = np.multiply(g, g)
+    within *= 1.0 - s.k / n
+    within += s.syy
+    h *= h
+    within += h
+    within += sigma2
+    within /= (n - 1) * n
+    g *= math.sqrt(s.k) / n
+    g += s.y_mean
+    return g, within

@@ -82,19 +82,18 @@ def read_results_csv(path: str) -> list[ImputationResult]:
     return [rows[i] for i in sorted(rows)]
 
 
-def mean_analyses(s: MeanStats, chi2, z0, z1, sum_z, sum_dz, sum_z2):
+def mean_analyses(s: MeanStats, chi2, u, v, rest):
     """The estimates and within variances of completed data, in closed form."""
     n = s.n
     if s.k == 0:
         shape = np.shape(chi2)
         return np.full(shape, s.y_mean), np.full(shape, s.syy / ((n - 1) * n))
-    sigma = np.sqrt(s.rss / chi2)
-    beta1 = s.slope + sigma * z1 / math.sqrt(s.sxx)
-    a = sigma * z0 / math.sqrt(s.n_obs) + beta1 * s.shift
-    t1 = s.k * a + sigma * sum_z
-    t2 = (s.syy + s.k * a * a + beta1 * beta1 * s.sdd + sigma * sigma * sum_z2
-          + 2.0 * sigma * (a * sum_z + beta1 * sum_dz))
-    return s.y_mean + t1 / n, (t2 - t1 * t1 / n) / ((n - 1) * n)
+    sigma2 = s.rss / chi2
+    sigma = np.sqrt(sigma2)
+    g = sigma * u + math.sqrt(s.k) * s.shift * s.slope
+    h = sigma * v + math.sqrt(s.sdd) * s.slope
+    within = (s.syy + (1.0 - s.k / n) * (g * g) + h * h + sigma2 * rest) / ((n - 1) * n)
+    return s.y_mean + g * (math.sqrt(s.k) / n), within
 
 
 def required_m(

@@ -75,14 +75,18 @@ def test_closed_form_matches_the_completed_data(name):
     for seed in range(20):
         rng = np.random.default_rng(seed)
         reference = analyze_mean(impute_once(data, fit_and_draw(data, rng), rng))
-        # the same variates, in the order fit_and_draw and impute_once draw them
+        # the same variates, in the order fit_and_draw and impute_once draw
+        # them, mapped to what draw_mean_variates draws
         rng = np.random.default_rng(seed)
         chi2 = rng.chisquare(s.n_obs - 2)
         z0, z1 = rng.standard_normal(2)
         z = rng.standard_normal(s.k)
-        estimate, within = mean_analyses(
-            s, *(np.array([v]) for v in (chi2, z0, z1, z.sum(), d @ z, z @ z))
-        )
+        e0 = z.sum() / np.sqrt(s.k)
+        e1 = d @ z / np.sqrt(s.sdd) if s.sdd > 0 else 0.0
+        u = np.sqrt(s.k) * s.shift * z1 / np.sqrt(s.sxx) + np.sqrt(s.k / s.n_obs) * z0 + e0
+        v = np.sqrt(s.sdd) * z1 / np.sqrt(s.sxx) + e1
+        rest = z @ z - e0 * e0 - e1 * e1
+        estimate, within = mean_analyses(s, *(np.array([x]) for x in (chi2, u, v, rest)))
         assert estimate[0] == pytest.approx(reference.estimate, rel=1e-12)
         assert within[0] == pytest.approx(reference.within_variance, rel=1e-9)
 
@@ -142,6 +146,53 @@ def test_in_place_kernel_matches_the_expression_form(name):
             for fast, slow in zip(mean_analyses(s, *args), reference.mean_analyses(s, *args)):
                 assert fast.shape == slow.shape == shape
                 assert fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_variates_have_their_covariance(name):
+    """Over 10^6 draws in 100 batches, the mean and covariance of (u, v)
+    are 0 and the Sigma that draw_mean_variates documents, and rest has
+    mean max(k - 2, 0), each within 4 batch-means SEs.  For k = 1, v and
+    rest are 0; for k = 2, rest is 0; with every missing x equal (Sdd = 0),
+    u and v are uncorrelated and v has unit variance."""
+    data = DATASETS[name]()
+    s = data.mean_stats
+    sigma_uu = 1 + s.k / s.n_obs + s.k * s.shift**2 / s.sxx
+    sigma_uv = np.sqrt(s.k * s.sdd) * s.shift / s.sxx
+    sigma_vv = 1 + s.sdd / s.sxx
+    if name == "equal_missing_x":
+        assert (sigma_uv, sigma_vv) == pytest.approx((0.0, 1.0), abs=1e-12)
+    batches = []
+    for batch in range(100):
+        u, v, rest = draw_mean_variates(data, 10_000, stream(707, TAG_REP, batch))[1:]
+        if s.k == 1:
+            assert not v.any()
+        if s.k <= 2:
+            assert not rest.any()
+        cov = np.cov(u, v)
+        batches.append([u.mean(), v.mean(), cov[0, 0], cov[0, 1], cov[1, 1], rest.mean()])
+    batches = np.array(batches)
+    means = batches.mean(axis=0)
+    ses = batches.std(axis=0, ddof=1) / np.sqrt(len(batches))
+    targets = [0.0, 0.0, sigma_uu, sigma_uv, sigma_vv, max(s.k - 2, 0)]
+    if s.k == 1:  # v is 0, not a normal of variance 1
+        targets[3:5] = [0.0, 0.0]
+    for label, mean, se, target in zip(["E u", "E v", "Var u", "Cov uv", "Var v", "E rest"],
+                                       means, ses, targets):
+        assert abs(mean - target) <= 4 * se, f"{label}: {mean:.6g} vs {target:.6g} (SE {se:.2g})"
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_withins_are_not_below_the_observed_part(name):
+    """Each within variance is (Syy + terms that are not negative) /
+    ((n - 1) n), so over a (200, 169) block it is finite and at least
+    Syy / ((n - 1) n) >= 0, on large_mean's y shifted by 10^6 too."""
+    data = DATASETS[name]()
+    s = data.mean_stats
+    variates = draw_mean_variates(data, 200 * 169, stream(808, TAG_REP))
+    estimates, withins = mean_analyses(s, *(v.reshape(200, 169) for v in variates))
+    assert np.all(np.isfinite(estimates)) and np.all(np.isfinite(withins))
+    assert np.all(withins >= s.syy / ((s.n - 1) * s.n)) and s.syy > 0
 
 
 def test_errors_match_the_reference_path():
