@@ -31,7 +31,7 @@ from .montecarlo import (
     EmpiricalCv,
     ExperimentConfig,
     FieldSummary,
-    TwoStageRecord,
+    TwoStageRuns,
     TwoStageSummary,
     calibrate_missing_fraction,
     curve_data,
@@ -90,7 +90,7 @@ __all__ = [
     "EmpiricalCv",
     "ExperimentConfig",
     "FieldSummary",
-    "TwoStageRecord",
+    "TwoStageRuns",
     "TwoStageSummary",
     "calibrate_missing_fraction",
     "curve_data",

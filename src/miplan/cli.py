@@ -183,7 +183,7 @@ def _print_payload(payload: dict, fmt: str = "json") -> None:
 
 def _emit_outputs(args, header, rows, fields) -> None:
     """A simulation's summary (the data setup, then fields) to stdout; with
-    --out BASE, its records to BASE.csv and the summary to BASE.json."""
+    --out BASE, its rows to BASE.csv and the summary to BASE.json."""
     payload = {
         "experiment": args.experiment,
         "n": args.n,
@@ -275,21 +275,20 @@ def _sim_two_stage(args) -> int:
         level=args.level,
         m_max=args.max_m,
     )
-    records = run_two_stage_experiment(config)
-    summary = summarize_two_stage(records)
+    runs = run_two_stage_experiment(config)
+    summary = summarize_two_stage(runs)
     header = (
         "rep", "pilot_m", "pilot_estimate", "pilot_se", "pilot_gamma_hat", "pilot_df_hat",
         "gamma_used", "cv_target", "m_required", "pilot_sufficient",
         "final_m", "final_estimate", "final_se", "final_gamma_hat", "final_df_hat",
     )
+    p = runs.pilots
+    pilots = zip(*(c.tolist() for c in (p.theta, p.se, p.gamma_hat, p.df_hat)))
+    finals = zip(*(c.tolist() for c in (runs.final_m, runs.final_theta, runs.final_se,
+                                        runs.final_gamma_hat, runs.final_df_hat)))
     rows = [
-        (
-            rep, r.pilot.m, r.pilot.theta, r.pilot.se, r.pilot.gamma_hat, r.pilot.df_hat,
-            r.recommendation.gamma_used, r.recommendation.cv_target,
-            r.recommendation.m_required, r.recommendation.pilot_sufficient,
-            r.final.m, r.final.theta, r.final.se, r.final.gamma_hat, r.final.df_hat,
-        )
-        for rep, r in enumerate(records)
+        (rep, p.m, *pilot, r.gamma_used, r.cv_target, r.m_required, r.pilot_sufficient, *final)
+        for rep, (pilot, r, final) in enumerate(zip(pilots, runs.recommendations, finals))
     ]
     fields = {
         "pilot_m": config.pilot_m,
@@ -301,7 +300,7 @@ def _sim_two_stage(args) -> int:
     }
     fields.update(asdict(summary))
     _emit_outputs(args, header, rows, fields)
-    _note_cap(any(r.recommendation.capped for r in records), args.max_m)
+    _note_cap(any(r.capped for r in runs.recommendations), args.max_m)
     return 0
 
 

@@ -11,7 +11,8 @@ experiment takes its pilots from ``pool_replicates`` at pilot_m, and draws
 the finals of the replications whose pilot falls short in chunks, chunk c
 from stream(seed, TAG_FINAL, c); so a replication's final depends on the
 seed, its own m_required and the m_required of each short replication
-before it.
+before it.  Every experiment returns its replications by column
+(``PooledReplicates``, ``TwoStageRuns``); only a pilot gets an interval.
 """
 
 from __future__ import annotations
@@ -150,21 +151,13 @@ def _pool_once(
     return pool_arrays(*mean_analyses(data.mean_stats, *impute_m(data, m, rng)), level)
 
 
-@dataclass(frozen=True)
-class TwoStageRecord:
-    """One pilot -> recommendation -> final pass over a fixed dataset."""
-
-    pilot: PooledAnalysis
-    recommendation: Recommendation
-    final: PooledAnalysis
-
-
 def run_two_stage(
     config: ExperimentConfig,
     rng: np.random.Generator,
     data: IncompleteBivariate,
-) -> TwoStageRecord:
-    """Run the two-stage procedure once on data, drawing from rng.
+) -> tuple[PooledAnalysis, Recommendation, PooledAnalysis]:
+    """Run the two-stage procedure once on data, drawing from rng, and
+    return (pilot, recommendation, final).
 
     Stage 1 pools pilot_m imputations at config.level and converts the
     pilot into a recommendation.  If the pilot already used enough
@@ -174,16 +167,29 @@ def run_two_stage(
     pilot = _pool_once(data, config.pilot_m, rng, config.level)
     rec = recommend(pilot, config.target, config.m_max)
     if rec.pilot_sufficient:
-        final = pilot
-    else:
-        final = _pool_once(data, rec.m_required, rng, config.level)
-    return TwoStageRecord(pilot=pilot, recommendation=rec, final=final)
+        return pilot, rec, pilot
+    return pilot, rec, _pool_once(data, rec.m_required, rng, config.level)
+
+
+@dataclass(frozen=True, eq=False)
+class TwoStageRuns:
+    """A two-stage experiment by column: entry r of each, replication r's.
+    Where a pilot sufficed, its final entries are its pilot entries, so
+    final_m is max(pilot_m, m_required)."""
+
+    pilots: PooledReplicates
+    recommendations: list[Recommendation]
+    final_m: np.ndarray
+    final_theta: np.ndarray
+    final_se: np.ndarray
+    final_gamma_hat: np.ndarray
+    final_df_hat: np.ndarray
 
 
 def run_two_stage_experiment(
     config: ExperimentConfig,
     data: IncompleteBivariate | None = None,
-) -> list[TwoStageRecord]:
+) -> TwoStageRuns:
     """config.reps replications of the two-stage procedure on one dataset.
 
     The dataset is held fixed across replications (generated from the
@@ -199,51 +205,48 @@ def run_two_stage_experiment(
     split, so a chunk holding one replication can be larger).  Chunk c
     draws all its imputations from stream(seed, TAG_FINAL, c) in one
     ``impute_m`` call and gives them one closed-form call; each
-    replication's contiguous run of m_required variates is one pooling.
+    replication's contiguous run of m_required variates is one
+    ``pool_rows``, with no interval, since no reader of a final uses one.
     """
     if data is None:
         data = gen_incomplete(
             config.n, config.rho, config.missing_fraction, stream(config.seed, TAG_DATA)
         )
     pilots = pool_replicates(data, config.pilot_m, config.reps, config.seed)
-    stage1 = []
-    for r in range(config.reps):
-        pilot = pilots.analysis(r, config.level)
-        stage1.append((pilot, recommend(pilot, config.target, config.m_max)))
-    finals = iter(_pool_finals(
-        data, [rec.m_required for _, rec in stage1 if not rec.pilot_sufficient],
-        config.seed, config.level,
-    ))
-    return [
-        TwoStageRecord(pilot=pilot, recommendation=rec,
-                       final=pilot if rec.pilot_sufficient else next(finals))
-        for pilot, rec in stage1
-    ]
-
-
-def _pool_finals(
-    data: IncompleteBivariate, ms: list[int], seed: int, level: float
-) -> list[PooledAnalysis]:
-    """One pooling of m fresh imputations for each m in ms, drawn in chunks
-    as ``run_two_stage_experiment`` describes."""
+    recs = [recommend(pilots.analysis(r, config.level), config.target, config.m_max)
+            for r in range(config.reps)]
+    final_m = np.full(config.reps, config.pilot_m)
+    finals = {name: getattr(pilots, name).copy() for name in ("theta", "se", "gamma_hat", "df_hat")}
     chunks: list[list[int]] = []
-    size = 0
-    for m in ms:
-        if chunks and size + m <= BLOCK_IMPUTATIONS:
-            chunks[-1].append(m)
-            size += m
-        else:
-            chunks.append([m])
-            size = m
-    finals = []
+    size = math.inf  # the first short replication opens the first chunk
+    short = [r for r, rec in enumerate(recs) if not rec.pilot_sufficient]
+    for r in short:
+        if size + recs[r].m_required > BLOCK_IMPUTATIONS:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(r)
+        size += recs[r].m_required
     for c, chunk in enumerate(chunks):
-        variates = impute_m(data, sum(chunk), stream(seed, TAG_FINAL, c))
+        ms = [recs[r].m_required for r in chunk]
+        variates = impute_m(data, sum(ms), stream(config.seed, TAG_FINAL, c))
         estimates, withins = mean_analyses(data.mean_stats, *variates)
         end = 0
-        for m in chunk:
+        for r, m in zip(chunk, ms):
             start, end = end, end + m
-            finals.append(pool_arrays(estimates[start:end], withins[start:end], level))
-    return finals
+            final = pool_rows(estimates[start:end], withins[start:end])
+            final_m[r] = m  # after the draw, which rejects an m past int64
+            for name, column in finals.items():
+                column[r] = getattr(final, name)
+    return TwoStageRuns(pilots, recs, final_m, **{f"final_{k}": v for k, v in finals.items()})
+
+
+def _mean_sd(values: np.ndarray) -> tuple[float, float]:
+    """Mean and SD (ddof 1) of a column.  A constant column gives exactly
+    its value and SD 0; numpy's sums can round a few ulps off both."""
+    first = values[0]
+    if (values == first).all():
+        return float(first), 0.0
+    return float(np.mean(values)), float(np.std(values, ddof=1))
 
 
 @dataclass(frozen=True)
@@ -255,17 +258,13 @@ class FieldSummary:
 
     @classmethod
     def of(cls, values: np.ndarray) -> "FieldSummary":
-        return cls(
-            mean=float(np.mean(values)),
-            sd=float(np.std(values, ddof=1)),
-            min=float(np.min(values)),
-            max=float(np.max(values)),
-        )
+        mean, sd = _mean_sd(values)
+        return cls(mean=mean, sd=sd, min=float(np.min(values)), max=float(np.max(values)))
 
 
 @dataclass(frozen=True)
 class TwoStageSummary:
-    """Across-replication summary of two-stage records."""
+    """Across-replication summary of a two-stage experiment."""
 
     m_required: FieldSummary
     final_m: FieldSummary
@@ -276,18 +275,18 @@ class TwoStageSummary:
     achieved_sd_of_se: float
 
 
-def summarize_two_stage(records: Sequence[TwoStageRecord]) -> TwoStageSummary:
+def summarize_two_stage(runs: TwoStageRuns) -> TwoStageSummary:
     """Componentwise mean/sd/min/max of the final-stage results."""
-    if len(records) < 2:
-        raise ValueError(f"insufficient replications: need at least 2, got {len(records)}")
-    final_se = FieldSummary.of(np.array([r.final.se for r in records]))
+    if len(runs.final_se) < 2:
+        raise ValueError(f"insufficient replications: need at least 2, got {len(runs.final_se)}")
+    final_se = FieldSummary.of(runs.final_se)
     return TwoStageSummary(
-        m_required=FieldSummary.of(np.array([r.recommendation.m_required for r in records])),
-        final_m=FieldSummary.of(np.array([r.final.m for r in records])),
-        final_estimate=FieldSummary.of(np.array([r.final.theta for r in records])),
+        m_required=FieldSummary.of(np.array([r.m_required for r in runs.recommendations])),
+        final_m=FieldSummary.of(runs.final_m),
+        final_estimate=FieldSummary.of(runs.final_theta),
         final_se=final_se,
-        final_df_hat=FieldSummary.of(np.array([r.final.df_hat for r in records])),
-        final_gamma_hat=FieldSummary.of(np.array([r.final.gamma_hat for r in records])),
+        final_df_hat=FieldSummary.of(runs.final_df_hat),
+        final_gamma_hat=FieldSummary.of(runs.final_gamma_hat),
         achieved_sd_of_se=final_se.sd,
     )
 
@@ -363,10 +362,11 @@ def empirical_cv_of(pooled: PooledReplicates) -> EmpiricalCv:
     reps = len(pooled.se)
     if reps < 2:
         raise ValueError(f"insufficient replications: need at least 2, got {reps}")
-    v, se = pooled.v_total, pooled.se
+    mean_v, sd_v = _mean_sd(pooled.v_total)
+    mean_se, sd_se = _mean_sd(pooled.se)
     return EmpiricalCv(
-        cv_v=float(np.std(v, ddof=1) / np.mean(v)),
-        cv_se=float(np.std(se, ddof=1) / np.mean(se)),
+        cv_v=sd_v / mean_v,
+        cv_se=sd_se / mean_se,
         mean_gamma_hat=float(np.mean(pooled.gamma_hat)),
         m=pooled.m,
         reps=reps,

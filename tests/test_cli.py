@@ -405,6 +405,14 @@ class TestSimulate:
             "--max-m", "10000000000000", "--reps", "2",
         ]), "Unable to allocate")
 
+    def test_final_past_int64_exits_one(self, capsys):
+        # m_required is about 1e23: the chunk's draw refuses it before any
+        # fixed-width column has to hold it
+        assert_one_error_line(run_cli(capsys, [
+            "simulate", "--experiment", "two-stage", "--n", "200", "--target-cv", "1e-12",
+            "--max-m", str(10**30), "--reps", "2",
+        ]), "Maximum allowed dimension exceeded")
+
     @pytest.mark.parametrize("experiment, flag", FOREIGN_FLAGS)
     def test_flag_of_another_experiment_is_a_usage_error(self, capsys, experiment, flag):
         given = [flag] if flag in SWITCHES else [flag, "0.5"]
@@ -543,6 +551,28 @@ class TestSimulate:
         ])
         summary = json.loads(out)
         assert (code, err, summary["cv_se"], summary["cv_v_over_2cv_se"]) == (0, "", 0, None)
+
+    def test_identical_poolings_report_no_spread(self, capsys):
+        # Also no missing y; at these seeds numpy's mean and SD of the equal
+        # columns rounded off them (cv_se 4.8e-16, a final_se SD of 3e-17 and
+        # a mean above the max), so the summaries must not come from those sums.
+        code, out, err = run_cli(capsys, [
+            "simulate", "--experiment", "cv-check", "--n", "20", "--missing", "0.01",
+            "--m", "5", "--reps", "100", "--seed", "2",
+        ])
+        summary = json.loads(out)
+        assert (code, err, summary["cv_v"], summary["cv_se"]) == (0, "", 0, 0)
+        assert summary["cv_v_over_2cv_se"] is None
+        code, out, err = run_cli(capsys, [
+            "simulate", "--experiment", "two-stage", "--n", "5", "--missing", "0.01",
+            "--reps", "7", "--target-cv", "0.5", "--seed", "5",
+        ])
+        summary = json.loads(out)
+        assert (code, err) == (0, "")
+        for name in ("final_estimate", "final_se", "final_gamma_hat", "final_df_hat"):
+            field = summary[name]
+            assert field["sd"] == 0 and field["mean"] == field["min"] == field["max"], name
+        assert summary["achieved_sd_of_se"] == 0
 
     def test_curve_stdout(self, capsys):
         code, out, _ = run_cli(capsys, ["simulate", "--experiment", "curve", "--gammas", "0.1,0.5,0.9"])

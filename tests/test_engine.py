@@ -295,11 +295,15 @@ def test_block_two_stage_matches_per_replication_two_stage_in_distribution(pilot
         target=ReplicabilityTarget("cv_of_se", cv), reps=1000, seed=505,
     )
     block = run_two_stage_experiment(config, data=data)
-    single = [run_two_stage(config, stream(606, TAG_REP, r), data) for r in range(config.reps)]
-    for name, value in [("final_se", lambda r: r.final.se),
-                        ("final_gamma_hat", lambda r: r.final.gamma_hat),
-                        ("m_required", lambda r: r.recommendation.m_required)]:
-        p_value = stats.ks_2samp([value(r) for r in block], [value(r) for r in single]).pvalue
+    _, recs, finals = zip(*(run_two_stage(config, stream(606, TAG_REP, r), data)
+                            for r in range(config.reps)))
+    for name, block_column, single_column in [
+        ("final_se", block.final_se, [final.se for final in finals]),
+        ("final_gamma_hat", block.final_gamma_hat, [final.gamma_hat for final in finals]),
+        ("m_required", [rec.m_required for rec in block.recommendations],
+         [rec.m_required for rec in recs]),
+    ]:
+        p_value = stats.ks_2samp(block_column, single_column).pvalue
         assert p_value > ALPHA, f"{name}: KS p = {p_value:.2g}"
 
 
@@ -334,10 +338,11 @@ def test_engine_called_once_per_pooling_with_its_m(monkeypatch):
             target=ReplicabilityTarget("cv_of_se", cv), reps=reps, seed=7, m_max=m_max,
         )
         calls.clear()
-        records = run_two_stage_experiment(config)
+        runs = run_two_stage_experiment(config)
         sizes = [size for size, _ in calls]
         assert sizes[:len(pilot_sizes)] == pilot_sizes
-        finals = [r.final.m for r in records if not r.recommendation.pilot_sufficient]
+        recs = runs.recommendations
+        finals = [m for m, rec in zip(runs.final_m.tolist(), recs) if not rec.pilot_sufficient]
         assert sum(sizes) == reps * pilot_m + sum(finals)
         assert len({id(rng) for _, rng in calls}) == len(calls)
         # each chunk is a run of whole replications' finals, in rep order
@@ -347,7 +352,7 @@ def test_engine_called_once_per_pooling_with_its_m(monkeypatch):
                 chunk.append(finals.pop(0))
             assert sum(chunk) == size and size <= max(BLOCK_IMPUTATIONS, max(chunk))
         assert finals == []
-        assert sum(r.recommendation.pilot_sufficient for r in records) == sufficient
+        assert sum(rec.pilot_sufficient for rec in recs) == sufficient
         assert len(sizes) == len(pilot_sizes) + final_calls
         # only the third case draws a chunk above 2^16
         assert (max(sizes) > BLOCK_IMPUTATIONS) == (m_max > BLOCK_IMPUTATIONS)

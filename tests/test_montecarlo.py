@@ -10,17 +10,18 @@ import numpy as np
 import pytest
 
 import miplan.montecarlo as montecarlo
+import miplan.pooling as pooling
 from miplan import (
     ExperimentConfig,
+    FieldSummary,
     ReplicabilityTarget,
-    TwoStageRecord,
+    TwoStageRuns,
     calibrate_missing_fraction,
     curve_data,
     derive_seed,
     df_cv_curve,
     empirical_cv,
     gen_incomplete,
-    pool,
     pool_fixed_dataset,
     pool_replicates,
     recommend,
@@ -31,6 +32,7 @@ from miplan import (
     stream,
     summarize_two_stage,
 )
+from miplan.fmi import gamma_ci
 from miplan.imputer import draw_mean_variates, mean_analyses
 from miplan.montecarlo import (
     BLOCK_IMPUTATIONS,
@@ -41,7 +43,7 @@ from miplan.montecarlo import (
     calibrate_gamma,
 )
 from miplan.planning import DEFAULT_M_MAX, m_for_se_cv
-from miplan.pooling import PooledReplicates, pool_arrays
+from miplan.pooling import PooledReplicates, pool_arrays, pool_rows
 
 import reference
 from conftest import make_pilot_results
@@ -135,6 +137,26 @@ class TestConfigValidation:
             small_config(seed=-1)
 
 
+def bits(column) -> bytes:
+    return np.asarray(column).tobytes()
+
+
+def assert_same_runs(a: TwoStageRuns, b: TwoStageRuns) -> None:
+    for f in fields(PooledReplicates):
+        assert bits(getattr(a.pilots, f.name)) == bits(getattr(b.pilots, f.name)), f.name
+    assert a.recommendations == b.recommendations
+    for name in ("final_m", "final_theta", "final_se", "final_gamma_hat", "final_df_hat"):
+        assert bits(getattr(a, name)) == bits(getattr(b, name)), name
+
+
+def assert_final_is_pilot(runs: TwoStageRuns, r: int) -> None:
+    """Replication r's final entries are its pilot entries, bit for bit."""
+    assert runs.final_m[r] == runs.pilots.m
+    for name in ("theta", "se", "gamma_hat", "df_hat"):
+        final, pilot = getattr(runs, f"final_{name}")[r], getattr(runs.pilots, name)[r]
+        assert bits(final) == bits(pilot), (r, name)
+
+
 class TestTwoStage:
     def test_fixed_seed_identical_record(self):
         config = small_config()
@@ -145,22 +167,24 @@ class TestTwoStage:
 
     def test_loose_target_reuses_pilot(self):
         config = small_config(target=ReplicabilityTarget("cv_of_se", 0.9))
-        record = run_two_stage(config, stream(config.seed, 1, 0), small_data(config))
-        assert record.recommendation.pilot_sufficient
-        assert record.final is record.pilot
-        assert record.final.m == config.pilot_m
+        pilot, rec, final = run_two_stage(config, stream(config.seed, 1, 0), small_data(config))
+        assert rec.pilot_sufficient
+        assert final is pilot
+        assert final.m == config.pilot_m
+        runs = run_two_stage_experiment(config)
+        assert all(rec.pilot_sufficient for rec in runs.recommendations)
+        for r in range(config.reps):
+            assert_final_is_pilot(runs, r)
 
     def test_final_m_invariant(self):
         config = small_config(reps=6, target=ReplicabilityTarget("cv_of_se", 0.12))
-        for record in run_two_stage_experiment(config):
-            expected = max(config.pilot_m, record.recommendation.m_required)
-            assert record.final.m == expected
+        runs = run_two_stage_experiment(config)
+        expected = [max(config.pilot_m, rec.m_required) for rec in runs.recommendations]
+        assert runs.final_m.tolist() == expected
 
     def test_experiment_reproducible(self):
         config = small_config()
-        first = run_two_stage_experiment(config)
-        second = run_two_stage_experiment(config)
-        assert first == second
+        assert_same_runs(run_two_stage_experiment(config), run_two_stage_experiment(config))
 
     @pytest.mark.parametrize("cv, sufficient, chunks", [(0.2, True, 1), (0.005, False, 2)])
     def test_blocks_match_hand_drawn_stages(self, cv, sufficient, chunks):
@@ -171,59 +195,88 @@ class TestTwoStage:
         that would take it past BLOCK_IMPUTATIONS."""
         config = small_config(target=ReplicabilityTarget("cv_of_se", cv), reps=12, level=0.9)
         data = small_data(config)
-        records = run_two_stage_experiment(config)
+        runs = run_two_stage_experiment(config)
         pilots = pool_replicates(data, config.pilot_m, config.reps, config.seed)
-        for r, record in enumerate(records):
-            for f in fields(PooledReplicates):
-                value = getattr(pilots, f.name)
-                value = value if f.name == "m" else value[r].item()
-                assert repr(getattr(record.pilot, f.name)) == repr(value), (r, f.name)
-            assert record.pilot.level == 0.9
-        assert any(r.recommendation.pilot_sufficient for r in records) == sufficient
-        short = [r for r in records if not r.recommendation.pilot_sufficient]
+        for f in fields(PooledReplicates):
+            assert repr(getattr(runs.pilots, f.name)) == repr(getattr(pilots, f.name)), f.name
+        recs = runs.recommendations
+        assert len(recs) == config.reps
+        assert any(rec.pilot_sufficient for rec in recs) == sufficient
+        short = [r for r, rec in enumerate(recs) if not rec.pilot_sufficient]
         assert short
         layout = [[]]
-        for record in short:
-            if sum(r.final.m for r in layout[-1]) + record.final.m > BLOCK_IMPUTATIONS:
+        for r in short:
+            if sum(runs.final_m[layout[-1]]) + runs.final_m[r] > BLOCK_IMPUTATIONS:
                 layout.append([])
-            layout[-1].append(record)
+            layout[-1].append(r)
         assert len(layout) == chunks
         for c, chunk in enumerate(layout):
             variates = draw_mean_variates(
-                data, sum(r.final.m for r in chunk), stream(config.seed, TAG_FINAL, c))
+                data, int(sum(runs.final_m[chunk])), stream(config.seed, TAG_FINAL, c))
             end = 0
-            for record in chunk:
-                start, end = end, end + record.final.m
+            for r in chunk:
+                start, end = end, end + recs[r].m_required
                 segment = (v[start:end] for v in variates)
-                final = pool_arrays(*mean_analyses(data.mean_stats, *segment), 0.9)
-                assert repr(record.final) == repr(final)
-        for record in records:
-            if record.recommendation.pilot_sufficient:
-                assert record.final is record.pilot
+                final = pool_rows(*mean_analyses(data.mean_stats, *segment))
+                assert runs.final_m[r] == final.m
+                for name in ("theta", "se", "gamma_hat", "df_hat"):
+                    got = getattr(runs, f"final_{name}")[r].item()
+                    assert repr(got) == repr(getattr(final, name)), (r, name)
+        for r, rec in enumerate(recs):
+            if rec.pilot_sufficient:
+                assert_final_is_pilot(runs, r)
+
+    def test_one_gamma_interval_per_pilot_and_none_per_final(self, monkeypatch):
+        """Each pilot's recommendation needs its gamma interval; no reader of a
+        final uses one, so a final pooling builds none."""
+        calls = []
+
+        def counting(gamma_hat, m, level=0.95):
+            calls.append(m)
+            return gamma_ci(gamma_hat, m, level)
+
+        monkeypatch.setattr(pooling, "gamma_ci", counting)
+        config = small_config(target=ReplicabilityTarget("cv_of_se", 0.05), reps=12)
+        runs = run_two_stage_experiment(config)
+        assert not any(rec.pilot_sufficient for rec in runs.recommendations)
+        assert calls == [config.pilot_m] * config.reps
+
+
+def pilot_runs(*ses: float, gamma: float = 0.3) -> TwoStageRuns:
+    """Two-stage runs whose pilots pool make_pilot_results(5, gamma, se), one
+    per se, each sufficient for its loose target and so its own final."""
+    rows = [make_pilot_results(5, gamma, se) for se in ses]
+    pilots = pool_rows(np.array([[r.estimate for r in row] for row in rows]),
+                       np.array([[r.within_variance for r in row] for row in rows]))
+    recs = [recommend(pilots.analysis(i, 0.95), ReplicabilityTarget("cv_of_se", 0.5))
+            for i in range(len(ses))]
+    assert all(rec.pilot_sufficient for rec in recs)
+    return TwoStageRuns(pilots, recs, np.full(len(ses), pilots.m), pilots.theta,
+                        pilots.se, pilots.gamma_hat, pilots.df_hat)
 
 
 class TestSummaries:
-    def dummy_record(self, gamma, se):
-        pilot = pool(make_pilot_results(5, gamma, se))
-        rec = recommend(pilot, ReplicabilityTarget("cv_of_se", 0.5))
-        return TwoStageRecord(pilot=pilot, recommendation=rec, final=pilot)
-
     def test_identical_records_have_zero_sd(self):
-        record = self.dummy_record(0.3, 0.02)
-        summary = summarize_two_stage([record, record])
+        summary = summarize_two_stage(pilot_runs(0.02, 0.02))
         assert summary.final_se.sd == 0.0
         assert summary.achieved_sd_of_se == 0.0
         assert summary.final_m.min == summary.final_m.max
 
     def test_two_record_sd_hand_value(self):
-        records = [self.dummy_record(0.3, 0.021), self.dummy_record(0.3, 0.023)]
-        summary = summarize_two_stage(records)
+        summary = summarize_two_stage(pilot_runs(0.021, 0.023))
         assert summary.achieved_sd_of_se == pytest.approx(0.001414, abs=1e-6)
         assert summary.final_se.mean == pytest.approx(0.022, rel=1e-9)
 
     def test_needs_two_records(self):
         with pytest.raises(ValueError, match="insufficient replications"):
-            summarize_two_stage([self.dummy_record(0.3, 0.02)])
+            summarize_two_stage(pilot_runs(0.02))
+
+    def test_constant_column_is_exact(self):
+        # numpy's mean of seven copies of this value is one ulp above it
+        value = 0.20533040718753454
+        column = np.full(7, value)
+        assert float(np.mean(column)) != value
+        assert FieldSummary.of(column) == FieldSummary(mean=value, sd=0.0, min=value, max=value)
 
 
 class TestEmpiricalCv:
