@@ -56,7 +56,6 @@ from .planning import (
     df_for_cv,
     m_for_se_cv,
     recommend,
-    variance_inflation,
 )
 from .pooling import (
     ImputationResult,
@@ -113,7 +112,6 @@ __all__ = [
     "df_for_cv",
     "m_for_se_cv",
     "recommend",
-    "variance_inflation",
     "ImputationResult",
     "ImputationResults",
     "PooledAnalysis",

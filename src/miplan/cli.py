@@ -350,6 +350,9 @@ def _sim_curve(args) -> int:
                                      m_max=args.max_m)
                 for i, r in enumerate(rows)
             ]
+            # A fit cut to --max-m answers --max-m; one that lands on it exactly
+            # gets the note too, since the fitted m estimates a goal that may lie above.
+            capped = capped or args.max_m in simulated
         text = csv_text(
             ("gamma", "m_quadratic", "m_linear", "m_simulated"),
             [(r.gamma, r.m_quadratic, r.m_linear, m) for r, m in zip(rows, simulated)],

@@ -34,7 +34,6 @@ from .planning import (
     _check_unit_interval,
     _se_cv_rule,
     df_for_cv,
-    m_for_se_cv,
     recommend,
 )
 from .pooling import PooledAnalysis, PooledReplicates, pool_arrays, pool_rows
@@ -385,6 +384,11 @@ def empirical_cv(
     return empirical_cv_of(pool_replicates(data, m, reps, seed))
 
 
+# The m at which required_m measures the CV of the SE, those at or below
+# its cap; a cap below the first is probed alone.
+PROBE_MS = (20, 40, 80)
+
+
 def required_m(
     data: IncompleteBivariate,
     cv_target: float,
@@ -392,38 +396,29 @@ def required_m(
     reps: int = 200,
     seed: int = 0,
 ) -> int:
-    """Smallest m in [2, m_hi] whose measured SE coefficient of
-    variation on this dataset is at or below cv_target.
+    """The m in [2, m_hi] at which the SE's coefficient of variation on
+    this dataset falls to cv_target, fitted from at most three probes.
 
-    One bisection on m (the CV is monotone decreasing in m); probe m
-    measures the CV over reps replications on its own stream,
-    derive_seed(seed, TAG_PROBE, m).  Returns 2 if the probe at 2 passes,
-    else the smallest probed m that passed.  m_hi is probed only when every
-    bisection probe failed; if it fails too, raises ``search exhausted``.
-    Near the floor a noisy probe can pass one step below the m where the
-    CV curve crosses cv_target (README).
+    The fit assumes CV(m) = C / sqrt(m - 1) on this dataset, the form
+    behind the quadratic rule.  A probe at m measures the CV over reps
+    replications on its own stream, derive_seed(seed, TAG_PROBE, m), at
+    each m of PROBE_MS up to m_hi, or at m_hi alone when m_hi is below 20.
+    C is the mean of CV(m) * sqrt(m - 1) over the probes, and the answer
+    is the ceiling of 1 + (C / cv_target)^2, at least 2 and cut to m_hi
+    (``planning._capped_count``).  A probe's CV has relative SE about
+    1 / sqrt(2 (reps - 1)) whatever its m, so the fit answers beyond the
+    largest probe too.  Near the floor, where CV * sqrt(m - 1) is not yet
+    constant, it can answer one below the first m that meets the goal
+    (README).
     """
     if not (0.0 < cv_target < 1.0):
         raise ValueError(f"domain error: cv_target must be in (0, 1), got {cv_target!r}")
     if not m_hi >= 2:
         raise ValueError(f"domain error: need m_hi >= 2, got {m_hi}")
-
-    def passes(m: int) -> bool:
-        return empirical_cv(data, m, reps, derive_seed(seed, TAG_PROBE, m)).cv_se <= cv_target
-
-    if passes(2):
-        return 2
-    lo, hi = 2, m_hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    # hi == lo only when m_hi is 2, whose probe already failed.
-    if hi == m_hi and (hi == lo or not passes(hi)):
-        raise ValueError(f"search exhausted: cv_se stays above {cv_target} up to m_hi={m_hi}")
-    return hi
+    ms = [m for m in PROBE_MS if m <= m_hi] or [m_hi]
+    c = np.mean([empirical_cv(data, m, reps, derive_seed(seed, TAG_PROBE, m)).cv_se
+                 * math.sqrt(m - 1) for m in ms])
+    return _capped_count(1.0 + (c / cv_target) ** 2, m_hi)[0]
 
 
 @dataclass(frozen=True)
@@ -523,12 +518,11 @@ def simulated_required_m(
     """Empirical required m at the true fraction of missing information gamma.
 
     Sets the missing fraction from gamma by calibrate_missing_fraction's
-    closed form, draws one dataset on the seed's data stream, and searches
-    for the smallest m meeting cv_target on it (see required_m), up to
-    three times the quadratic rule's m plus 16, at most m_max.  A goal
-    that no m up to that cap meets raises ``search exhausted``.
+    closed form, draws one dataset on the seed's data stream, and fits the
+    m that meets cv_target on it (see required_m), cut to m_max.  The
+    quadratic rule is not read: C is measured on each gamma's own data,
+    so the answers across gammas test the rule's shape in gamma.
     """
     p = calibrate_missing_fraction(gamma, rho)
     data = gen_incomplete(n, rho, p, stream(seed, TAG_DATA))
-    m_hi = min(m_max, 3 * m_for_se_cv(gamma, cv_target) + 16)
-    return required_m(data, cv_target, m_hi=m_hi, reps=reps, seed=seed)
+    return required_m(data, cv_target, m_hi=m_max, reps=reps, seed=seed)

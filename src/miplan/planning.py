@@ -130,19 +130,6 @@ def df_for_cv(cv: float) -> float:
     return 1.0 / two_cv_sq if two_cv_sq > 0.0 else math.inf
 
 
-def variance_inflation(gamma: float, m: int) -> tuple[float, float]:
-    """Variance and SE inflation of the pooled point estimate at m imputations.
-
-    Relative to infinitely many imputations the variance is larger by the
-    factor 1 + gamma/m; the SE by its square root.
-    """
-    _check_unit_interval("gamma", gamma)
-    if m < 1:
-        raise ValueError(f"domain error: m must be >= 1, got {m}")
-    factor = 1.0 + gamma / m
-    return factor, math.sqrt(factor)
-
-
 def recommend(
     pilot: PooledAnalysis,
     target: ReplicabilityTarget,

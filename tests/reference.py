@@ -10,11 +10,6 @@ quantity, a new array per operator.  ``miplan.imputer.mean_analyses``
 evaluates the same operations with its temporaries reused in place, and
 must return the same bits.
 
-``required_m`` is the required-m bisection with a bracket probe: it probes
-m_hi before bisecting and gives up there when that probe fails.
-``miplan.required_m`` probes m_hi only when the bisection reaches it, on
-the same stream, and must return the same m wherever this one returns.
-
 ``crossing_m`` is the truth that the search estimates: the m at which a
 dataset's CV(SE) curve, pooled at many replications per m, crosses the
 goal.
@@ -28,7 +23,7 @@ import math
 import numpy as np
 
 from miplan.imputer import IncompleteBivariate, MeanStats
-from miplan.montecarlo import TAG_PROBE, derive_seed, empirical_cv
+from miplan.montecarlo import empirical_cv
 from miplan.pooling import RESULTS_CSV_HEADER, ImputationResult
 
 
@@ -94,39 +89,6 @@ def mean_analyses(s: MeanStats, chi2, u, v, rest):
     h = sigma * v + math.sqrt(s.sdd) * s.slope
     within = (s.syy + (1.0 - s.k / n) * (g * g) + h * h + sigma2 * rest) / ((n - 1) * n)
     return s.y_mean + g * (math.sqrt(s.k) / n), within
-
-
-def required_m(
-    data: IncompleteBivariate,
-    cv_target: float,
-    m_hi: int = 512,
-    reps: int = 200,
-    seed: int = 0,
-) -> int:
-    """Bisect on m after probing both ends of [2, m_hi], giving up when the
-    probe at m_hi fails."""
-    if not (0.0 < cv_target < 1.0):
-        raise ValueError(f"domain error: cv_target must be in (0, 1), got {cv_target!r}")
-    if not m_hi > 2:
-        raise ValueError(f"domain error: need m_hi > 2, got {m_hi}")
-
-    def probe(m: int) -> float:
-        return empirical_cv(data, m, reps, derive_seed(seed, TAG_PROBE, m)).cv_se
-
-    if probe(2) <= cv_target:
-        return 2
-    if probe(m_hi) > cv_target:
-        raise ValueError(
-            f"search exhausted: cv_se stays above {cv_target} at m_hi={m_hi}"
-        )
-    lo, hi = 2, m_hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if probe(mid) <= cv_target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def crossing_m(

@@ -457,14 +457,21 @@ class TestSimulate:
         assert code == 0
         assert [int(line.split(",")[3]) for line in out.splitlines()[1:]] == expected
 
-    @pytest.mark.parametrize("gammas, cv, max_m", [("0.5", "0.01", "30"), ("0.5", "0.05", "2")])
+    @pytest.mark.parametrize("gammas, cv, max_m", [
+        ("0.5", "0.01", "30"), ("0.5", "0.05", "2"), ("0.1", "0.02", "15"),
+    ])
     def test_curve_simulated_search_stops_at_max_m(self, capsys, gammas, cv, max_m):
-        """The simulated column searches no higher than --max-m; a goal that
-        no m up to it meets exits 1."""
-        assert_one_error_line(run_cli(capsys, [
+        """The simulated column probes no higher than --max-m; a goal that the
+        fit puts above it reads --max-m, with the cap's note, and exits 0.  In
+        the last case the rule columns (14 and 10) are not capped, so the note
+        is the simulated column's."""
+        code, out, err = run_cli(capsys, [
             "simulate", "--experiment", "curve", "--simulated", "--gammas", gammas,
             "--cv-target", cv, "--max-m", max_m, "--n", "300", "--reps", "100",
-        ]), f"search exhausted: cv_se stays above {cv} up to m_hi={max_m}\n")
+        ])
+        assert code == 0
+        assert out.splitlines()[1].split(",")[3] == max_m
+        assert err == f"note: m_required capped at --max-m {max_m}\n"
 
     def test_curve_simulated_at_max_m_two_can_answer_two(self, capsys):
         code, out, err = run_cli(capsys, [

@@ -16,7 +16,6 @@ from miplan import (
     m_for_se_cv,
     pool,
     recommend,
-    variance_inflation,
 )
 from miplan.planning import _capped_count
 from conftest import make_pilot_results
@@ -127,15 +126,6 @@ class TestConversions:
         for kind, value in (("cv_of_se", 0.05), ("cv_of_variance", 0.1), ("df", 200.0)):
             target = ReplicabilityTarget(kind, value)
             assert target.cv_of_se(se) == target.cv_of_se(math.nan)  # reads no pilot SE
-
-    def test_variance_inflation(self):
-        var_factor, se_factor = variance_inflation(0.8, 10)
-        assert var_factor == pytest.approx(1.08, rel=1e-12)
-        assert se_factor == pytest.approx(1.0392, abs=1e-4)
-        assert variance_inflation(0.5, 5) == pytest.approx((1.10, math.sqrt(1.10)), rel=1e-12)
-        var_factor, se_factor = variance_inflation(0.9, 10**9)
-        assert var_factor == pytest.approx(1.0, abs=1e-8)
-        assert se_factor == pytest.approx(1.0, abs=1e-8)
 
     def test_sd_goal_to_cv(self):
         def cv(sd_goal, se):
