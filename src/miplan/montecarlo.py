@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fmi import check_level
+from .fmi import check_level, gamma_ci
 from .imputer import IncompleteBivariate, draw_mean_variates, mean_analyses
 from .planning import (
     DEFAULT_M_MAX,
@@ -32,6 +32,7 @@ from .planning import (
     ReplicabilityTarget,
     _capped_count,
     _check_unit_interval,
+    _recommend,
     _se_cv_rule,
     df_for_cv,
     recommend,
@@ -197,8 +198,10 @@ def run_two_stage_experiment(
 
     Each replication has the distribution of ``run_two_stage`` on a fresh
     stream, but the draws go a block at a time.  The pilots are
-    ``pool_replicates(data, pilot_m, reps, seed)``, and each gets one
-    ``recommend``.  A sufficient pilot doubles as the final and draws
+    ``pool_replicates(data, pilot_m, reps, seed)``, and each gets the
+    recommendation that ``recommend`` gives its pooling at config.level,
+    from its gamma interval alone: nothing reads a pilot's theta interval,
+    so none is computed.  A sufficient pilot doubles as the final and draws
     nothing.  The other replications, in rep order, are grouped into chunks
     of at most BLOCK_IMPUTATIONS final imputations (a replication is never
     split, so a chunk holding one replication can be larger).  Chunk c
@@ -212,7 +215,8 @@ def run_two_stage_experiment(
             config.n, config.rho, config.missing_fraction, stream(config.seed, TAG_DATA)
         )
     pilots = pool_replicates(data, config.pilot_m, config.reps, config.seed)
-    recs = [recommend(pilots.analysis(r, config.level), config.target, config.m_max)
+    recs = [_recommend(gamma_ci(float(pilots.gamma_hat[r]), pilots.m, config.level).upper,
+                       float(pilots.se[r]), pilots.m, config.target, config.m_max)
             for r in range(config.reps)]
     final_m = np.full(config.reps, config.pilot_m)
     finals = {name: getattr(pilots, name).copy() for name in ("theta", "se", "gamma_hat", "df_hat")}

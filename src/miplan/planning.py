@@ -152,8 +152,15 @@ def recommend(
     compares the pilot's m with the capped m_required.  m_max must be at
     least 2.
     """
-    gamma_used = pilot.gamma_interval.upper
-    cv_target = target.cv_of_se(pilot.se)
+    return _recommend(pilot.gamma_interval.upper, pilot.se, pilot.m, target, m_max)
+
+
+def _recommend(
+    gamma_used: float, se: float, pilot_m: int, target: ReplicabilityTarget, m_max: int
+) -> Recommendation:
+    """``recommend`` from the fields of a pilot that it reads: the upper
+    bound of its gamma interval, its pooled SE and its m."""
+    cv_target = target.cv_of_se(se)
     # A cv target of 1 or more is looser than any useful goal; the floor of 2
     # applies.  One that underflowed to 0 is stricter than any m can meet.
     raw = (2.0 if cv_target >= 1.0 else math.inf if cv_target == 0.0
@@ -165,8 +172,8 @@ def recommend(
         cv_target=cv_target,
         # A df goal is echoed as given, not as the df of its CV.
         df_implied=target.value if target.kind == "df" else df_for_cv(cv_target),
-        pilot_sufficient=pilot.m >= m_required,
-        pilot_m=pilot.m,
+        pilot_sufficient=pilot_m >= m_required,
+        pilot_m=pilot_m,
         m_uncapped=m_uncapped,
         capped=m_required != m_uncapped,
     )

@@ -9,6 +9,7 @@ information and the degrees of freedom of the variance estimate.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -54,8 +55,10 @@ class ImputationResults(Sequence):
     __slots__ = ("estimates", "withins")
 
     def __init__(self, estimates, withins) -> None:
-        estimates = np.array(estimates, dtype=np.float64)
-        withins = np.array(withins, dtype=np.float64)
+        self._hold(np.array(estimates, dtype=np.float64), np.array(withins, dtype=np.float64))
+
+    def _hold(self, estimates: np.ndarray, withins: np.ndarray) -> None:
+        """Check two float64 columns and keep them, read-only, without a copy."""
         if not (estimates.ndim == 1 and estimates.shape == withins.shape
                 and np.isfinite(estimates).all() and np.isfinite(withins).all()
                 and (withins >= 0.0).all()):
@@ -139,10 +142,9 @@ class PooledReplicates:
     """Rubin's rules over many poolings of m imputations each, by column.
 
     Entry i of every array is pooling i's field of PooledAnalysis; the
-    intervals, which no measurement uses, are left out (``analysis`` adds
-    them for one pooling).  ``pool_rows`` of one 1-d pooling gives Python
-    floats instead of arrays.  Each pooling sums its imputations in the
-    order they were drawn.
+    intervals, which no measurement uses, are left out.  ``pool_rows`` of
+    one 1-d pooling gives Python floats instead of arrays.  Each pooling
+    sums its imputations in the order they were drawn.
     """
 
     m: int
@@ -154,30 +156,6 @@ class PooledReplicates:
     gamma_hat: np.ndarray
     gamma_raw: np.ndarray
     df_hat: np.ndarray
-
-    def analysis(self, i: int | None, level: float) -> PooledAnalysis:
-        """Pooling i as a PooledAnalysis, with its gamma and theta intervals
-        at level; i = None takes the scalars of one 1-d pooling."""
-        columns = (self.theta, self.w_bar, self.b, self.v_total, self.se,
-                   self.gamma_hat, self.gamma_raw, self.df_hat)
-        theta, w_bar, b, v_total, se, gamma_hat, gamma_raw, df_hat = map(
-            float, columns if i is None else (c[i] for c in columns))
-        interval = gamma_ci(gamma_hat, self.m, level)
-        half = t_quantile(0.5 * (1.0 + level), df_hat) * se
-        return PooledAnalysis(
-            m=self.m,
-            theta=theta,
-            w_bar=w_bar,
-            b=b,
-            v_total=v_total,
-            se=se,
-            gamma_hat=gamma_hat,
-            gamma_raw=gamma_raw,
-            df_hat=df_hat,
-            gamma_interval=interval,
-            theta_interval=(theta - half, theta + half),
-            level=level,
-        )
 
 
 def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
@@ -195,25 +173,10 @@ def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
     An overflowing or non-positive pooled variance is still rejected; among
     many rows, the first bad row raises what pooling it alone would.
     """
-    m = estimates.shape[-1]
-    if m < 2:
-        raise ValueError(f"insufficient imputations: need at least 2, got {m}")
-
-    # One row does its arithmetic in Python floats after the sums: the same
-    # IEEE operations as the block's, so the same bits, without numpy's cost
-    # per scalar, which dominates at pilot sizes.
     if estimates.ndim == 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            theta = float(np.add.reduce(estimates)) / m
-            dev = estimates - theta
-            b = float(np.add.reduce(dev * dev)) / (m - 1)
-            w_bar = float(np.add.reduce(withins)) / m
-        v_total = w_bar + (1.0 + 1.0 / m) * b
-        _reject(theta, v_total)
-        gamma_raw = (1.0 + 1.0 / m) * b / v_total
-        gamma_hat = min(max(gamma_raw, GAMMA_EPS), 1.0 - GAMMA_EPS)
-        return PooledReplicates(m, theta, w_bar, b, v_total, math.sqrt(v_total),
-                                gamma_hat, gamma_raw, (m - 1) / (gamma_hat * gamma_hat))
+        return PooledReplicates(len(estimates), *_pool_row(estimates, withins))
+    m = estimates.shape[-1]
+    _check_m(m)
 
     # np.mean and np.var(ddof=1) as numpy computes them, sharing one sum.
     # Finite inputs near the float64 limit can overflow; that is reported below.
@@ -244,6 +207,34 @@ def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
     )
 
 
+def _pool_row(estimates: np.ndarray, withins: np.ndarray) -> tuple[float, ...]:
+    """Rubin's rules over one 1-d row: theta, w_bar, b, v_total, se,
+    gamma_hat, gamma_raw and df_hat, as Python floats.
+
+    The arithmetic after the sums is done in Python floats: the same IEEE
+    operations as ``pool_rows``' block, so the same bits, without numpy's
+    cost per scalar, which dominates at pilot sizes.
+    """
+    m = len(estimates)
+    _check_m(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = float(np.add.reduce(estimates)) / m
+        dev = estimates - theta
+        b = float(np.add.reduce(dev * dev)) / (m - 1)
+        w_bar = float(np.add.reduce(withins)) / m
+    v_total = w_bar + (1.0 + 1.0 / m) * b
+    _reject(theta, v_total)
+    gamma_raw = (1.0 + 1.0 / m) * b / v_total
+    gamma_hat = min(max(gamma_raw, GAMMA_EPS), 1.0 - GAMMA_EPS)
+    return (theta, w_bar, b, v_total, math.sqrt(v_total), gamma_hat, gamma_raw,
+            (m - 1) / (gamma_hat * gamma_hat))
+
+
+def _check_m(m: int) -> None:
+    if m < 2:
+        raise ValueError(f"insufficient imputations: need at least 2, got {m}")
+
+
 def _reject(theta: float, v_total: float) -> None:
     """Raise, for a pooling with this estimate and total variance, the error
     that makes it unusable, if any."""
@@ -255,9 +246,27 @@ def _reject(theta: float, v_total: float) -> None:
 
 def pool_arrays(estimates: np.ndarray, withins: np.ndarray, level: float = 0.95) -> PooledAnalysis:
     """Rubin's rules over the m estimates and within variances of one
-    pooling, with its gamma and theta intervals (``pool_rows`` for one row)."""
+    pooling, with its gamma and theta intervals: the floats of
+    ``pool_rows`` of that one row, and the intervals at level."""
     check_level(level)
-    return pool_rows(estimates, withins).analysis(None, level)
+    m = len(estimates)
+    theta, w_bar, b, v_total, se, gamma_hat, gamma_raw, df_hat = _pool_row(estimates, withins)
+    interval = gamma_ci(gamma_hat, m, level)
+    half = t_quantile(0.5 * (1.0 + level), df_hat) * se
+    return PooledAnalysis(
+        m=m,
+        theta=theta,
+        w_bar=w_bar,
+        b=b,
+        v_total=v_total,
+        se=se,
+        gamma_hat=gamma_hat,
+        gamma_raw=gamma_raw,
+        df_hat=df_hat,
+        gamma_interval=interval,
+        theta_interval=(theta - half, theta + half),
+        level=level,
+    )
 
 
 def read_results_csv(path: str) -> ImputationResults:
@@ -268,12 +277,37 @@ def read_results_csv(path: str) -> ImputationResults:
     columns are rejected.  Blank lines are skipped.  Rows may appear in any
     order; the indices must be 1..m, each once: a duplicate or a gap is an
     error.  Returns the results ordered by index.
+
+    Any file that csv.reader reads (quoted fields, CRLF or CR line ends)
+    reads as before.  A file with no double quote, no carriage return and
+    no NUL, no longer than ``csv.field_size_limit()``, is one in which
+    csv.reader splits each line at its commas and nowhere else, so it is
+    split with ``str.split``; the result, and every error message, is the
+    same either way.  The file is read once, so a pipe reads as a file does.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        text = None  # csv.reader below reports it as a read of the file does
+    # Without a quote, a CR or a NUL (which it rejects before Python 3.11),
+    # csv.reader's default dialect splits each line at its commas and nowhere
+    # else, and no field of a text within its size limit can pass that limit.
+    if text is None or '"' in text or "\r" in text or "\0" in text or (
+            len(text) > csv.field_size_limit()):
+        # The bytes decoded a chunk at a time, as a text file reads them, so
+        # that a decode error names the position a read of the file names.
+        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
         try:
             lines = list(csv.reader(fh))
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"invalid input: {path}: {exc}") from None
+    else:
+        lines = text.split("\n")
+        if not lines[-1]:  # csv.reader gives no row after the last line end
+            lines.pop()
+        lines = [line.split(",") if line else [] for line in lines]
     if not lines:
         raise ValueError(f"invalid input: {path}: empty file")
     header = lines[0]
@@ -286,13 +320,15 @@ def read_results_csv(path: str) -> ImputationResults:
     # _check_rows go through the rows one at a time, to report the first bad one.
     rows = [row for row in lines[1:] if row]
     try:
-        if any(len(row) != 3 for row in rows):
+        indices, estimates, withins = zip(*rows, strict=True) if rows else ((), (), ())
+        indices = list(map(int, indices))
+        if sorted(indices) != list(range(1, len(indices) + 1)):
             raise ValueError
-        ranked = sorted((int(row[0]), row) for row in rows)
-        if [index for index, _ in ranked] != list(range(1, len(ranked) + 1)):
-            raise ValueError
-        return ImputationResults([float(row[1]) for _, row in ranked],
-                                 [float(row[2]) for _, row in ranked])
+        order = np.argsort(indices)
+        results = ImputationResults.__new__(ImputationResults)
+        results._hold(np.array(list(map(float, estimates)))[order],
+                      np.array(list(map(float, withins)))[order])
+        return results
     except ValueError:
         pass
     _check_rows(path, lines)

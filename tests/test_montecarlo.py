@@ -44,6 +44,7 @@ from miplan.montecarlo import (
 )
 from miplan.planning import DEFAULT_M_MAX, m_for_se_cv
 from miplan.pooling import PooledReplicates, pool_arrays, pool_rows
+from miplan.quantiles import t_quantile
 
 import reference
 from conftest import make_pilot_results
@@ -200,8 +201,13 @@ class TestTwoStage:
         for f in fields(PooledReplicates):
             assert repr(getattr(runs.pilots, f.name)) == repr(getattr(pilots, f.name)), f.name
         recs = runs.recommendations
-        assert recs == [recommend(pilots.analysis(r, config.level), config.target, config.m_max)
-                        for r in range(config.reps)]
+        # the pilot rows by hand: one block, replication r in row r
+        variates = draw_mean_variates(data, config.reps * config.pilot_m,
+                                      stream(config.seed, TAG_REP, 0, config.pilot_m))
+        rows = mean_analyses(data.mean_stats,
+                             *(v.reshape(config.reps, config.pilot_m) for v in variates))
+        assert recs == [recommend(pool_arrays(e, w, config.level), config.target, config.m_max)
+                        for e, w in zip(*rows)]
         assert any(rec.pilot_sufficient for rec in recs) == sufficient
         short = [r for r, rec in enumerate(recs) if not rec.pilot_sufficient]
         assert short
@@ -229,28 +235,38 @@ class TestTwoStage:
 
     def test_one_gamma_interval_per_pilot_and_none_per_final(self, monkeypatch):
         """Each pilot's recommendation needs its gamma interval; no reader of a
-        final uses one, so a final pooling builds none."""
-        calls = []
+        final uses one, so a final pooling builds none, and no reader of either
+        uses a theta interval, so none is built."""
+        calls, t_calls = [], []
 
         def counting(gamma_hat, m, level=0.95):
             calls.append(m)
             return gamma_ci(gamma_hat, m, level)
 
+        def counting_t(p, df):
+            t_calls.append(df)
+            return t_quantile(p, df)
+
+        # the pilots look gamma_ci up in montecarlo, a pool_arrays in pooling
+        monkeypatch.setattr(montecarlo, "gamma_ci", counting)
         monkeypatch.setattr(pooling, "gamma_ci", counting)
+        monkeypatch.setattr(pooling, "t_quantile", counting_t)
         config = small_config(target=ReplicabilityTarget("cv_of_se", 0.05), reps=12)
         runs = run_two_stage_experiment(config)
         assert not any(rec.pilot_sufficient for rec in runs.recommendations)
         assert calls == [config.pilot_m] * config.reps
+        assert t_calls == []
 
 
 def pilot_runs(*ses: float, gamma: float = 0.3) -> TwoStageRuns:
     """Two-stage runs whose pilots pool make_pilot_results(5, gamma, se), one
     per se, each sufficient for its loose target and so its own final."""
     rows = [make_pilot_results(5, gamma, se) for se in ses]
-    pilots = pool_rows(np.array([[r.estimate for r in row] for row in rows]),
-                       np.array([[r.within_variance for r in row] for row in rows]))
-    recs = [recommend(pilots.analysis(i, 0.95), ReplicabilityTarget("cv_of_se", 0.5))
-            for i in range(len(ses))]
+    estimates = np.array([[r.estimate for r in row] for row in rows])
+    withins = np.array([[r.within_variance for r in row] for row in rows])
+    pilots = pool_rows(estimates, withins)
+    recs = [recommend(pool_arrays(e, w, 0.95), ReplicabilityTarget("cv_of_se", 0.5))
+            for e, w in zip(estimates, withins)]
     assert all(rec.pilot_sufficient for rec in recs)
     return TwoStageRuns(pilots, recs, np.full(len(ses), pilots.m), pilots.theta,
                         pilots.se, pilots.gamma_hat, pilots.df_hat)

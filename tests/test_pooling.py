@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+import miplan.pooling as pooling
 from miplan import GAMMA_EPS, ImputationResult, gen_incomplete, pool, read_results_csv, stream
 from miplan.imputer import draw_mean_variates, mean_analyses
 from miplan.montecarlo import TAG_DATA, TAG_REP
@@ -231,7 +233,10 @@ def test_pool_rows_is_pool_arrays_row_by_row(data, reps, m, bad):
         for field in KERNEL_FIELDS:
             # repr keeps every float's bits, the sign of zero included
             assert repr(getattr(pooled, field)[r].item()) == repr(getattr(row, field)), field
-        assert repr(pooled.analysis(r, 0.95)) == repr(row)
+        # pool_rows of the row alone gives the same fields, as Python floats
+        alone = pool_rows(estimates[r], withins[r])
+        assert [repr(getattr(alone, f)) for f in KERNEL_FIELDS] == [
+            repr(getattr(row, f)) for f in KERNEL_FIELDS]
         # the sums are numpy's own mean and var(ddof=1) of the row as given
         assert repr(row.theta) == repr(float(np.mean(estimates[r])))
         assert repr(row.b) == repr(float(np.var(estimates[r], ddof=1)))
@@ -473,12 +478,70 @@ def read_or_error(read, path):
         return str(exc)
 
 
+def numbered_rows(count: int) -> str:
+    return "".join(f"{i},{i / 7!r},{i / 3!r}\n" for i in range(count, 0, -1))
+
+
 def test_readers_name_the_file_of_invalid_utf8(tmp_path):
+    # A bad byte in the first 8 KB, and one far enough in that csv.reader's
+    # file reads it in a later chunk, where its position counts from that chunk.
+    for rows in (1, 400):
+        path = tmp_path / f"results_{rows}.csv"
+        body = f"imputation,estimate,variance\n{numbered_rows(rows)}".encode()
+        assert (len(body) > 8192) == (rows == 400)
+        path.write_bytes(body + b"0,\xff,1\n")
+        message = read_or_error(read_results_csv, str(path))
+        assert message.startswith(f"invalid input: {path}: 'utf-8' codec can't decode byte 0xff")
+        assert read_or_error(reference.read_results_csv, str(path)) == message
+
+
+VALID_BODY = "imputation,estimate,variance\n2,2.0,1.0\n1,0.5,0.25\n"
+OVER_LIMIT = csv.field_size_limit() + 1
+
+
+# Files that csv.reader must tokenise, or that test the edges of splitting
+# at commas: each reads as the reference reads it, values or message.
+@pytest.mark.parametrize("body, reads", [
+    (VALID_BODY.replace("\n", "\r\n"), True),
+    (VALID_BODY.replace("\n", "\r"), True),
+    (VALID_BODY.replace("\n1,", "\r\n1,"), True),
+    (VALID_BODY.replace("0.25", "0.25\0"), False),
+    (VALID_BODY + "\0\n", False),
+    (VALID_BODY + f"3,{'1' * OVER_LIMIT},1.0\n", False),
+    ("imputation,estimate,variance\n" + numbered_rows(OVER_LIMIT // 30), True),
+    (VALID_BODY + " \t \n", False),
+    (VALID_BODY.rstrip("\n"), True),
+    ("imputation,estimate,variance", True),
+    ("\n" + VALID_BODY, False),
+    (VALID_BODY + "\n\n", True),
+], ids=["crlf", "cr", "mixed", "nul-in-cell", "nul-line", "field-over-limit",
+        "file-over-limit", "whitespace-line", "no-final-newline", "header-only",
+        "blank-first-line", "blank-last-lines"])
+def test_reader_matches_reference_across_tokenisers(tmp_path, body, reads):
     path = tmp_path / "results.csv"
-    path.write_bytes(b"imputation,estimate,variance\n1,0,1\n2,\xff,1\n")
-    message = read_or_error(read_results_csv, str(path))
-    assert message.startswith(f"invalid input: {path}: 'utf-8' codec can't decode byte 0xff")
-    assert read_or_error(reference.read_results_csv, str(path)) == message
+    path.write_bytes(body.encode())
+    expected = read_or_error(reference.read_results_csv, str(path))
+    assert isinstance(expected, list) == reads
+    assert read_or_error(read_results_csv, str(path)) == expected
+
+
+def test_reader_opens_the_file_once(tmp_path, monkeypatch):
+    """A pipe or FIFO can be read once, so no file goes back to the disk for
+    csv.reader: not a CRLF file, and not one that fails to decode."""
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(pooling, "open", counting_open, raising=False)
+    for i, body in enumerate([VALID_BODY.encode(), VALID_BODY.replace("\n", "\r\n").encode(),
+                              VALID_BODY.encode() + b"3,\xff,1\n"]):
+        path = str(tmp_path / f"results_{i}.csv")
+        Path(path).write_bytes(body)
+        read_or_error(read_results_csv, path)
+        assert opened == [path]
+        opened.clear()
 
 
 @given(body=results_file())
