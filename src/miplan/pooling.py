@@ -57,9 +57,11 @@ class ImputationResults(Sequence):
     def __init__(self, estimates, withins) -> None:
         self._hold(np.array(estimates, dtype=np.float64), np.array(withins, dtype=np.float64))
 
-    def _hold(self, estimates: np.ndarray, withins: np.ndarray) -> None:
-        """Check two float64 columns and keep them, read-only, without a copy."""
-        if not (estimates.ndim == 1 and estimates.shape == withins.shape
+    def _hold(self, estimates: np.ndarray, withins: np.ndarray, checked: bool = False) -> None:
+        """Keep two float64 columns, read-only, without a copy: after checking
+        them, unless the caller has already checked the same values."""
+        if not checked and not (
+                estimates.ndim == 1 and estimates.shape == withins.shape
                 and np.isfinite(estimates).all() and np.isfinite(withins).all()
                 and (withins >= 0.0).all()):
             raise ValueError("invalid input: need two 1-d columns of equal length: finite "
@@ -284,6 +286,13 @@ def read_results_csv(path: str) -> ImputationResults:
     csv.reader splits each line at its commas and nowhere else, so it is
     split with ``str.split``; the result, and every error message, is the
     same either way.  The file is read once, so a pipe reads as a file does.
+
+    Either way the columns are checked once, on the parsed values: the index
+    column is ordered by one argsort, and the estimates and variances are
+    checked as Python floats before they become arrays.  Only when a check
+    fails are the rows checked one at a time, to report the first bad one
+    with its line number.  Which files take which tokenizer, the values read
+    and every error message are as before.
     """
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()
@@ -294,8 +303,12 @@ def read_results_csv(path: str) -> ImputationResults:
     # Without a quote, a CR or a NUL (which it rejects before Python 3.11),
     # csv.reader's default dialect splits each line at its commas and nowhere
     # else, and no field of a text within its size limit can pass that limit.
-    if text is None or '"' in text or "\r" in text or "\0" in text or (
-            len(text) > csv.field_size_limit()):
+    split = not (text is None or '"' in text or "\r" in text or "\0" in text
+                 or len(text) > csv.field_size_limit())
+    if split:
+        # csv.reader gives no row after the last line end.
+        lines = text.removesuffix("\n").split("\n") if text else []
+    else:
         # The bytes decoded a chunk at a time, as a text file reads them, so
         # that a decode error names the position a read of the file names.
         fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
@@ -303,35 +316,36 @@ def read_results_csv(path: str) -> ImputationResults:
             lines = list(csv.reader(fh))
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"invalid input: {path}: {exc}") from None
-    else:
-        lines = text.split("\n")
-        if not lines[-1]:  # csv.reader gives no row after the last line end
-            lines.pop()
-        lines = [line.split(",") if line else [] for line in lines]
     if not lines:
         raise ValueError(f"invalid input: {path}: empty file")
-    header = lines[0]
+    header = lines[0].split(",") if split else lines[0]
     if tuple(h.strip() for h in header) != RESULTS_CSV_HEADER:
         raise ValueError(
             f"invalid input: {path}: header must be "
             f"{','.join(RESULTS_CSV_HEADER)!r}, got {','.join(header)!r}"
         )
-    # Parse and check column by column.  Only when a check fails does
-    # _check_rows go through the rows one at a time, to report the first bad one.
-    rows = [row for row in lines[1:] if row]
+    rows = ([line.split(",") for line in lines[1:] if line] if split
+            else [row for row in lines[1:] if row])
     try:
         indices, estimates, withins = zip(*rows, strict=True) if rows else ((), (), ())
-        indices = list(map(int, indices))
-        if sorted(indices) != list(range(1, len(indices) + 1)):
+        # int() takes indices past int64, which numpy refuses with OverflowError.
+        index = np.array(list(map(int, indices)), dtype=np.int64)
+        order = index.argsort()
+        if not (index[order] == np.arange(1, len(index) + 1)).all():
             raise ValueError
-        order = np.argsort(indices)
+        estimates = list(map(float, estimates))
+        withins = list(map(float, withins))
+        # A NaN or an infinity makes its column's sum non-finite.  A sum of
+        # finite values can overflow too; then _hold's own check decides.
+        checked = (math.isfinite(sum(estimates)) and math.isfinite(sum(withins))
+                   and min(withins, default=0.0) >= 0.0)
         results = ImputationResults.__new__(ImputationResults)
-        results._hold(np.array(list(map(float, estimates)))[order],
-                      np.array(list(map(float, withins)))[order])
+        results._hold(np.array(estimates)[order], np.array(withins)[order], checked)
         return results
-    except ValueError:
+    except (ValueError, OverflowError):
         pass
-    _check_rows(path, lines)
+    # Only now are the numbered lines needed: split them, blank ones empty.
+    _check_rows(path, [line.split(",") if line else [] for line in lines] if split else lines)
     raise AssertionError("a column check failed where no row check does")
 
 

@@ -418,9 +418,12 @@ def test_imputation_results_copies_and_pools_as_its_rows():
     assert repr(pool(results, 0.9)) == repr(pool(list(results), 0.9))
 
 
+# Indices that int() parses but int64 cannot hold, so that numpy refuses them.
+BIG_INDICES = [str(2**63), str(-2**63 - 1), "99999999999999999999"]
+
 # Cells that break a row in each way a reader must catch.
 BAD_CELLS = {
-    "index": ["0", "-1", "x", "1.0", "", "\"2,\""],
+    "index": ["0", "-1", "x", "1.0", "", "\"2,\"", *BIG_INDICES],
     "estimate": ["nan", "inf", "-inf", "1e309", "zero", "", "0x10"],
     "variance": ["-0.5", "-1e-300", "nan", "inf", "1e400", "abc", ""],
 }
@@ -523,6 +526,48 @@ def test_reader_matches_reference_across_tokenisers(tmp_path, body, reads):
     expected = read_or_error(reference.read_results_csv, str(path))
     assert isinstance(expected, list) == reads
     assert read_or_error(read_results_csv, str(path)) == expected
+
+
+def permuted_rows(count: int, seed: int = 29) -> str:
+    """count rows of values spread over float64's range, in a seeded order."""
+    rng = np.random.default_rng(seed)
+    estimates = (rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)).tolist()
+    withins = (rng.random(count) * 10.0 ** rng.integers(-300, 300, count)).tolist()
+    return "".join(f"{i + 1},{estimates[i]!r},{withins[i]!r}\n" for i in rng.permutation(count))
+
+
+# Edges of the column checks: indices past int64, in either tokenizer;
+# variances of -0.0; and a long file in permuted order.  Each reads, bit for bit, as the
+# reference reads it, or fails with the reference's message.
+@pytest.mark.parametrize("body, reads", [
+    *[(f"imputation,estimate,variance\n{i},1.0,1.0\n", False) for i in BIG_INDICES],
+    *[(f"imputation,estimate,variance\n2,1.0,1.0\n{i},2.0,1.0\n1,0.5,1.0\n", False)
+      for i in BIG_INDICES],
+    *[(f"imputation,estimate,variance\r\n1,1.0,1.0\r\n{i},2.0,1.0\r\n", False)
+      for i in BIG_INDICES],
+    ("imputation,estimate,variance\n2,3.0,-0.0\n1,1.0,-0.0\n3,2.0,0.5\n", True),
+    ("imputation,estimate,variance\n" + permuted_rows(200), True),
+], ids=[*(f"{where}-{i}" for where in ("alone", "among-valid", "crlf") for i in BIG_INDICES),
+        "negative-zero-variances", "permuted-200"])
+def test_reader_matches_reference_at_column_check_edges(tmp_path, body, reads):
+    path = tmp_path / "results.csv"
+    path.write_bytes(body.encode())
+    expected = read_or_error(reference.read_results_csv, str(path))
+    assert isinstance(expected, list) == reads
+    assert read_or_error(read_results_csv, str(path)) == expected
+
+
+def test_reader_keeps_finite_estimates_whose_sum_overflows(tmp_path):
+    """The column's sum is inf, so the reader's array check decides: the
+    file reads, and pooling it overflows as README's pool section says."""
+    path = tmp_path / "results.csv"
+    path.write_text("imputation,estimate,variance\n2,1.7e308,1.0\n1,1.7e308,2.0\n")
+    expected = read_or_error(reference.read_results_csv, str(path))
+    assert expected == [("1.7e+308", "2.0"), ("1.7e+308", "1.0")]
+    assert read_or_error(read_results_csv, str(path)) == expected
+    with pytest.raises(ValueError) as exc:
+        pool(read_results_csv(str(path)))
+    assert str(exc.value) == "invalid input: pooled estimate or variance overflows float64"
 
 
 def test_reader_opens_the_file_once(tmp_path, monkeypatch):
