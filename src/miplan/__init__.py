@@ -36,7 +36,6 @@ from .montecarlo import (
     calibrate_missing_fraction,
     curve_data,
     derive_seed,
-    df_cv_curve,
     empirical_cv,
     empirical_cv_of,
     gen_incomplete,
@@ -53,6 +52,7 @@ from .planning import (
     DEFAULT_M_MAX,
     Recommendation,
     ReplicabilityTarget,
+    df_cv_curve,
     df_for_cv,
     m_for_se_cv,
     recommend,
@@ -94,7 +94,6 @@ __all__ = [
     "calibrate_missing_fraction",
     "curve_data",
     "derive_seed",
-    "df_cv_curve",
     "empirical_cv",
     "empirical_cv_of",
     "gen_incomplete",
@@ -109,6 +108,7 @@ __all__ = [
     "DEFAULT_M_MAX",
     "Recommendation",
     "ReplicabilityTarget",
+    "df_cv_curve",
     "df_for_cv",
     "m_for_se_cv",
     "recommend",

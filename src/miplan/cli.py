@@ -1,4 +1,4 @@
-"""Command-line interface: pool, plan, table1, and simulate subcommands.
+"""Command-line interface: pool, plan, table1, df-curve and simulate subcommands.
 
 Scalar results are emitted as JSON, tables as CSV; ``--format text``
 gives a human-readable rendering rounded to 4 significant digits.
@@ -25,14 +25,13 @@ from .montecarlo import (
     ExperimentConfig,
     curve_data,
     derive_seed,
-    df_cv_curve,
     empirical_cv_of,
     pool_fixed_dataset,
     run_two_stage_experiment,
     simulated_required_m,
     summarize_two_stage,
 )
-from .planning import DEFAULT_M_MAX, ReplicabilityTarget, recommend
+from .planning import DEFAULT_M_MAX, ReplicabilityTarget, df_cv_curve, recommend
 from .pooling import pool, read_results_csv
 
 DEFAULT_SEED = 31415
@@ -156,6 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--format", choices=("csv", "text"), default="csv")
 
+    p = sub.add_parser("df-curve", help="df of the pooled variance for each CV of the pooled SE")
+    p.set_defaults(handler=cmd_df_curve)
+    p.add_argument("--cvs", help="comma list of cv values (default: 0.01 to 0.5)")
+    p.add_argument("--out", metavar="PATH")
+
     # Only --experiment: parse_args hands the rest to that experiment's parser.
     p = sub.add_parser("simulate", help="Monte Carlo experiments on synthetic incomplete data",
                        add_help=False, allow_abbrev=False)
@@ -262,6 +266,12 @@ def cmd_table1(args) -> int:
     return 0
 
 
+def cmd_df_curve(args) -> int:
+    cvs = [i / 100.0 for i in range(1, 51)] if args.cvs is None else _parse_list(args.cvs, float)
+    _write(csv_text(("cv", "df"), df_cv_curve(cvs)), args.out)
+    return 0
+
+
 def _sim_two_stage(args) -> int:
     target = ReplicabilityTarget(*args.target)
     config = ExperimentConfig(
@@ -326,37 +336,26 @@ def _sim_cv_check(args) -> int:
 
 
 def _sim_curve(args) -> int:
-    # A flag that the chosen mode would ignore is a usage error.
-    parser = _EXPERIMENT_PARSERS["curve"]
-    if args.cvs is not None and not args.df_curve:
-        parser.error("--cvs is the cv grid of --df-curve")
-    for flag in args.given:
-        if args.df_curve:
-            parser.error(f"{flag} is not read with --df-curve")
-        if not args.simulated and flag in ("--n", "--rho", "--seed", "--reps"):
-            parser.error(f"{flag} is read only with --simulated")
-    capped = False
-    if args.df_curve:
-        cvs = [i / 100.0 for i in range(1, 51)] if args.cvs is None else _parse_list(args.cvs, float)
-        text = csv_text(("cv", "df"), df_cv_curve(cvs))
-    else:
-        rows = curve_data(_parse_list(args.gammas, float), args.cv_target, args.max_m)
-        capped = any(r.capped for r in rows)
-        simulated = [None] * len(rows)
-        if args.simulated:  # after curve_data has checked every gamma
-            simulated = [
-                simulated_required_m(r.gamma, args.cv_target, n=args.n, reps=args.reps,
-                                     seed=derive_seed(args.seed, i), rho=args.rho,
-                                     m_max=args.max_m)
-                for i, r in enumerate(rows)
-            ]
-            # A fit cut to --max-m answers --max-m; one that lands on it exactly
-            # gets the note too, since the fitted m estimates a goal that may lie above.
-            capped = capped or args.max_m in simulated
-        text = csv_text(
-            ("gamma", "m_quadratic", "m_linear", "m_simulated"),
-            [(r.gamma, r.m_quadratic, r.m_linear, m) for r, m in zip(rows, simulated)],
-        )
+    # A flag that only the simulated column reads is a usage error without it.
+    if args.given and not args.simulated:
+        _EXPERIMENT_PARSERS["curve"].error(f"{args.given[0]} is read only with --simulated")
+    rows = curve_data(_parse_list(args.gammas, float), args.cv_target, args.max_m)
+    capped = any(r.capped for r in rows)
+    simulated = [None] * len(rows)
+    if args.simulated:  # after curve_data has checked every gamma
+        simulated = [
+            simulated_required_m(r.gamma, args.cv_target, n=args.n, reps=args.reps,
+                                 seed=derive_seed(args.seed, i), rho=args.rho,
+                                 m_max=args.max_m)
+            for i, r in enumerate(rows)
+        ]
+        # A fit cut to --max-m answers --max-m; one that lands on it exactly
+        # gets the note too, since the fitted m estimates a goal that may lie above.
+        capped = capped or args.max_m in simulated
+    text = csv_text(
+        ("gamma", "m_quadratic", "m_linear", "m_simulated"),
+        [(r.gamma, r.m_quadratic, r.m_linear, m) for r, m in zip(rows, simulated)],
+    )
     # The curve writes BASE.csv only.
     _write(text, args.out and args.out.removesuffix(".csv") + ".csv")
     _note_cap(capped, args.max_m)
@@ -410,7 +409,7 @@ def build_experiment_parsers() -> dict[str | None, argparse.ArgumentParser]:
             allow_abbrev=False,
         )
         p.set_defaults(handler=handler)
-        # curve notes which of these it was given: its modes read different ones.
+        # curve notes which of these it was given: only --simulated reads them.
         noted = _GivenAction if name == "curve" else None
         p.add_argument("--n", type=int, default=2000, action=noted)
         p.add_argument("--rho", type=float, default=0.0, action=noted)
@@ -433,20 +432,13 @@ def build_experiment_parsers() -> dict[str | None, argparse.ArgumentParser]:
     p.add_argument("--pilot-m", type=int, default=5)
     p.add_argument("--df-threshold", type=float, default=100.0)
     p = parsers["curve"]
-    p.epilog = ("--n, --rho, --seed and --reps are read only with --simulated;"
-                " with --df-curve, only --cvs and --out are read.")
+    p.epilog = "--n, --rho, --seed and --reps are read only with --simulated."
     p.set_defaults(given=())
-    p.add_argument("--gammas", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
-                   action=_GivenAction, help="gamma grid")
-    p.add_argument("--cv-target", type=float, default=0.05, action=_GivenAction,
-                   help="SE CV target")
-    p.add_argument("--max-m", type=int, default=DEFAULT_M_MAX, action=_GivenAction)
-    column = p.add_mutually_exclusive_group()
-    column.add_argument("--simulated", action="store_true",
-                        help="add the simulated required-m column to the curve (slow)")
-    column.add_argument("--df-curve", action="store_true",
-                        help="emit the df-vs-cv tradeoff curve instead of the rule comparison")
-    p.add_argument("--cvs", help="comma list of cv values for --df-curve (default: 0.01 to 0.5)")
+    p.add_argument("--gammas", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", help="gamma grid")
+    p.add_argument("--cv-target", type=float, default=0.05, help="SE CV target")
+    p.add_argument("--max-m", type=int, default=DEFAULT_M_MAX)
+    p.add_argument("--simulated", action="store_true",
+                   help="add the simulated required-m column to the curve (slow)")
     return parsers
 
 

@@ -31,10 +31,8 @@ from .planning import (
     Recommendation,
     ReplicabilityTarget,
     _capped_count,
-    _check_unit_interval,
     _recommend,
     _se_cv_rule,
-    df_for_cv,
     recommend,
 )
 from .pooling import PooledAnalysis, PooledReplicates, pool_arrays, pool_rows
@@ -422,7 +420,9 @@ def required_m(
     ms = [m for m in PROBE_MS if m <= m_hi] or [m_hi]
     c = np.mean([empirical_cv(data, m, reps, derive_seed(seed, TAG_PROBE, m)).cv_se
                  * math.sqrt(m - 1) for m in ms])
-    return _capped_count(1.0 + (c / cv_target) ** 2, m_hi)[0]
+    # A goal so strict that (c / cv_target)^2 overflows reads inf: m_hi, with no warning.
+    with np.errstate(over="ignore"):
+        return _capped_count(1.0 + (c / cv_target) ** 2, m_hi)[0]
 
 
 @dataclass(frozen=True)
@@ -457,15 +457,6 @@ def curve_data(
             )
         )
     return rows
-
-
-def df_cv_curve(cvs: Sequence[float]) -> list[tuple[float, float]]:
-    """(cv, df) pairs tracing df = 1 / (2 cv^2), the SE-stability tradeoff."""
-    if len(cvs) == 0:
-        raise ValueError("domain error: df curve needs at least one cv")
-    for cv in cvs:
-        _check_unit_interval("cv", cv)
-    return [(float(cv), df_for_cv(cv)) for cv in cvs]
 
 
 # The cache never hits, since no caller revisits a cell; it stays because

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .pooling import PooledAnalysis
 
@@ -128,6 +129,16 @@ def df_for_cv(cv: float) -> float:
     CV cv; math.inf when 2 cv^2 underflows (cv below about 1e-162)."""
     two_cv_sq = 2.0 * cv * cv
     return 1.0 / two_cv_sq if two_cv_sq > 0.0 else math.inf
+
+
+def df_cv_curve(cvs: Sequence[float]) -> list[tuple[float, float]]:
+    """(cv, df) pairs tracing df = 1 / (2 cv^2), the SE-stability tradeoff:
+    ``df_for_cv`` over a grid, the table that ``miplan df-curve`` prints."""
+    if len(cvs) == 0:
+        raise ValueError("domain error: df curve needs at least one cv")
+    for cv in cvs:
+        _check_unit_interval("cv", cv)
+    return [(float(cv), df_for_cv(cv)) for cv in cvs]
 
 
 def recommend(

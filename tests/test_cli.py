@@ -265,6 +265,42 @@ class TestTable1:
         assert len(rows) == 20
 
 
+class TestDfCurve:
+    def test_df_curve(self, capsys):
+        code, out, _ = run_cli(capsys, ["df-curve", "--cvs", "0.05,0.1"])
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "cv,df"
+        assert float(lines[1].split(",")[1]) == pytest.approx(200.0, rel=1e-12)
+        assert float(lines[2].split(",")[1]) == pytest.approx(50.0, rel=1e-12)
+
+    @pytest.mark.parametrize("cv", ["1e-200", "1e-170"])
+    def test_df_curve_underflow_reads_inf(self, capsys, cv):
+        """2 cv^2 underflows to zero below cv of about 1e-162; df is then inf."""
+        code, out, err = run_cli(capsys, ["df-curve", "--cvs", f"{cv},0.5"])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["cv,df", f"{float(cv):.17g},inf", "0.5,2"]
+
+    def test_out_writes_exactly_the_path(self, tmp_path, capsys):
+        dest = tmp_path / "df.txt"
+        code, out, _ = run_cli(capsys, ["df-curve", "--cvs", "0.1", "--out", str(dest)])
+        assert (code, out) == (0, "")
+        assert [p.name for p in tmp_path.iterdir()] == ["df.txt"]
+        assert dest.read_text() == "cv,df\n0.10000000000000001,49.999999999999993\n"
+
+    def test_grid_outside_unit_interval_exits_one(self, capsys):
+        assert_one_error_line(run_cli(capsys, ["df-curve", "--cvs", "0,1"]),
+                              "domain error: cv must be in (0, 1), got 0.0")
+
+    @pytest.mark.parametrize("given", [["--seed", "1"], ["--n", "5"]])
+    def test_simulation_flag_is_a_usage_error(self, capsys, given):
+        with pytest.raises(SystemExit) as exc:
+            main(["df-curve", *given])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"miplan: error: unrecognized arguments: {' '.join(given)}")
+
+
 # Every simulate experiment that draws from a seed, with a small workload.
 SEEDED_EXPERIMENTS = {
     "cv-check": ["--experiment", "cv-check", "--n", "300", "--reps", "100"],
@@ -289,19 +325,19 @@ READS = {
                  " --target-sd --target-cv --target-df",
     "cv-check": "--n --rho --missing --seed --reps --out --workers --m",
     "df-reliability": "--n --rho --missing --seed --reps --out --workers --pilot-m --df-threshold",
-    "curve": "--n --rho --seed --reps --out --workers --gammas --cv-target --max-m --simulated"
-             " --df-curve --cvs",
+    "curve": "--n --rho --seed --reps --out --workers --gammas --cv-target --max-m --simulated",
 }
-SWITCHES = {"--simulated", "--df-curve"}
-# curve's flags that only some of its modes read, each with a value at its
-# default: given at all, each is a usage error where the mode ignores it.
-CURVE_MODE_FLAGS = {"--n": "2000", "--rho": "0", "--seed": "31415", "--reps": "200",
-                    "--gammas": "0.5", "--cv-target": "0.05", "--max-m": "10000"}
-CURVE_SIMULATION_FLAGS = {"--n", "--rho", "--seed", "--reps"}
+SWITCHES = {"--simulated"}
+# curve's flags that only --simulated reads, each with a value at its
+# default: given at all, each is a usage error without --simulated.
+CURVE_MODE_FLAGS = {"--n": "2000", "--rho": "0", "--seed": "31415", "--reps": "200"}
+# curve's flags for the df table before it became the df-curve command: no
+# experiment reads them, so an old script fails instead of getting another table.
+RETIRED_FLAGS = "--df-curve --cvs"
 FOREIGN_FLAGS = [
     (experiment, flag)
     for experiment, flags in READS.items()
-    for flag in sorted(set(" ".join(READS.values()).split()) - set(flags.split()))
+    for flag in sorted(set(" ".join([*READS.values(), RETIRED_FLAGS]).split()) - set(flags.split()))
 ]
 
 
@@ -427,19 +463,8 @@ class TestSimulate:
         assert capsys.readouterr().err.splitlines()[-1].startswith("miplan simulate: error: ")
 
     @pytest.mark.parametrize("argv, message", [
-        (["curve", "--df-curve", "--simulated", "--cvs", "0.1"],
-         "--simulated: not allowed with argument --df-curve"),
-        (["curve", "--cvs", "0.1"], "--cvs is the cv grid of --df-curve"),
-        (["curve", "--simulated", "--cvs", "0.1"], "--cvs is the cv grid of --df-curve"),
-    ])
-    def test_curve_flag_that_would_be_ignored_is_a_usage_error(self, capsys, argv, message):
-        assert_usage_error(capsys, argv, message)
-
-    @pytest.mark.parametrize("argv, message", [
-        *((["curve", "--df-curve", flag, value], f"{flag} is not read with --df-curve")
-          for flag, value in CURVE_MODE_FLAGS.items()),
-        *((["curve", "--gammas", "0.5", f"{flag}={value}"], f"{flag} is read only with --simulated")
-          for flag, value in CURVE_MODE_FLAGS.items() if flag in CURVE_SIMULATION_FLAGS),
+        (["curve", "--gammas", "0.5", f"{flag}={value}"], f"{flag} is read only with --simulated")
+        for flag, value in CURVE_MODE_FLAGS.items()
     ])
     def test_curve_flag_the_mode_would_ignore_is_a_usage_error(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
@@ -458,13 +483,14 @@ class TestSimulate:
         assert [int(line.split(",")[3]) for line in out.splitlines()[1:]] == expected
 
     @pytest.mark.parametrize("gammas, cv, max_m", [
-        ("0.5", "0.01", "30"), ("0.5", "0.05", "2"), ("0.1", "0.02", "15"),
+        ("0.5", "0.01", "30"), ("0.5", "0.05", "2"), ("0.5", "1e-320", "30"),
+        ("0.1", "0.02", "15"),
     ])
     def test_curve_simulated_search_stops_at_max_m(self, capsys, gammas, cv, max_m):
         """The simulated column probes no higher than --max-m; a goal that the
-        fit puts above it reads --max-m, with the cap's note, and exits 0.  In
-        the last case the rule columns (14 and 10) are not capped, so the note
-        is the simulated column's."""
+        fit puts above it reads --max-m, with the cap's note, and exits 0, also
+        where (C / cv)^2 overflows.  In the last case the rule columns (14 and
+        10) are not capped, so the note is the simulated column's."""
         code, out, err = run_cli(capsys, [
             "simulate", "--experiment", "curve", "--simulated", "--gammas", gammas,
             "--cv-target", cv, "--max-m", max_m, "--n", "300", "--reps", "100",
@@ -608,25 +634,6 @@ class TestSimulate:
             "simulate", "--experiment", "curve", "--gammas", "0.5", "--max-m", "-3",
         ]), "domain error: m_max must be >= 2")
 
-    def test_df_curve(self, capsys):
-        code, out, _ = run_cli(capsys, [
-            "simulate", "--experiment", "curve", "--df-curve", "--cvs", "0.05,0.1",
-        ])
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "cv,df"
-        assert float(lines[1].split(",")[1]) == pytest.approx(200.0, rel=1e-12)
-        assert float(lines[2].split(",")[1]) == pytest.approx(50.0, rel=1e-12)
-
-    @pytest.mark.parametrize("cv", ["1e-200", "1e-170"])
-    def test_df_curve_underflow_reads_inf(self, capsys, cv):
-        """2 cv^2 underflows to zero below cv of about 1e-162; df is then inf."""
-        code, out, err = run_cli(capsys, [
-            "simulate", "--experiment", "curve", "--df-curve", "--cvs", f"{cv},0.5",
-        ])
-        assert (code, err) == (0, "")
-        assert out.splitlines() == ["cv,df", f"{float(cv):.17g},inf", "0.5,2"]
-
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_df_threshold_not_finite_exits_one(self, capsys, threshold):
         assert_one_error_line(
@@ -654,8 +661,8 @@ class TestSimulate:
     ["table1", "--gammas", ","],
     ["table1", "--ms", ","],
     ["simulate", "--experiment", "curve", "--gammas", ","],
-    ["simulate", "--experiment", "curve", "--df-curve", "--cvs", ","],
-    ["simulate", "--experiment", "curve", "--df-curve", "--cvs", ""],
+    ["df-curve", "--cvs", ","],
+    ["df-curve", "--cvs", ""],
 ])
 def test_empty_grid_exits_one(capsys, argv):
     assert_one_error_line(run_cli(capsys, argv), "domain error: ", "at least one")

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from miplan.cli import main
 
-from test_cli import CURVE_MODE_FLAGS, CURVE_SIMULATION_FLAGS, FOREIGN_FLAGS, READS, SWITCHES
+from test_cli import CURVE_MODE_FLAGS, FOREIGN_FLAGS, READS, SWITCHES
 
 HEADER = "imputation,estimate,variance\n"
 
@@ -144,6 +144,15 @@ def test_table1(gammas, ms, level, fmt):
          f"--level={level}", "--format", fmt])
 
 
+@FUZZ
+@given(
+    # tiny clean cvs reach the underflow of 2 cv^2, where df is inf
+    cvs=st.lists(mostly(floats(1e-300, 0.999)), max_size=3),
+)
+def test_df_curve(cvs):
+    run(["df-curve", f"--cvs={','.join(cvs)}"])
+
+
 # Count flags: never a large count, which would only make the run long.
 # Always given --n, --reps and curve's --gammas where they are read, since
 # their defaults make long runs; cv-check and df-reliability need 100
@@ -167,13 +176,11 @@ SIM_FLAGS = {
 HOSTILE_COUNT = st.sampled_from(["-1", "0", "x", "1.5", ""])
 
 
-def mode_reads(experiment: str, simulated: bool, df_curve: bool) -> set[str]:
-    """The flags the experiment reads; curve's depend on its mode."""
+def mode_reads(experiment: str, simulated: bool) -> set[str]:
+    """The flags the experiment reads; curve's depend on --simulated."""
     reads = set(READS[experiment].split())
-    if experiment == "curve" and df_curve:
-        return reads - set(CURVE_MODE_FLAGS)
     if experiment == "curve" and not simulated:
-        return reads - CURVE_SIMULATION_FLAGS
+        return reads - set(CURVE_MODE_FLAGS)
     return reads
 
 
@@ -188,8 +195,8 @@ def simulate_flags(draw, own: set[str]) -> dict[str, str]:
     ))
     if "--gammas" in own:
         flags["--gammas"] = ",".join(draw(st.lists(floats(0.05, 0.95), min_size=1, max_size=2)))
-    settable = sorted(flags.keys() | SIM_FLAGS.keys() & own)  # none with --df-curve
-    if settable and draw(st.integers(0, 3)) == 0:
+    settable = sorted(flags.keys() | SIM_FLAGS.keys() & own)
+    if draw(st.integers(0, 3)) == 0:
         flag = draw(st.sampled_from(settable))
         if flag == "--seed":
             flags[flag] = draw(st.sampled_from(["-1", "x", str(2**64)]))
@@ -204,21 +211,16 @@ def simulate_flags(draw, own: set[str]) -> dict[str, str]:
     data=st.data(),
     targets=mostly(st.lists(TARGET, min_size=1, max_size=1), st.lists(TARGET, max_size=2)),
     simulated=st.booleans(),
-    df_curve=st.booleans(),
-    # tiny clean cvs reach the underflow of 2 cv^2, where df is inf
-    cvs=st.lists(mostly(floats(1e-300, 0.999)), max_size=3),
 )
-def test_simulate(experiment, data, targets, simulated, df_curve, cvs):
-    simulated, df_curve = (simulated, df_curve) if experiment == "curve" else (False, False)
-    own = mode_reads(experiment, simulated, df_curve)
+def test_simulate(experiment, data, targets, simulated):
+    simulated = simulated and experiment == "curve"
+    own = mode_reads(experiment, simulated)
     argv = ["simulate", "--experiment", experiment]
     argv += [f"{flag}={value}" for flag, value in data.draw(simulate_flags(own)).items()]
     if experiment == "two-stage":
         argv += [f"{flag}={value}" for flag, value in targets]
     if simulated:
         argv.append("--simulated")
-    if df_curve:
-        argv += ["--df-curve", f"--cvs={','.join(cvs)}"]
     if data.draw(st.integers(0, 3)) < 3:  # the simplest draw, 0, keeps to the own flags
         run(argv)
     else:  # in one run of four, a flag that only other experiments or curve modes read

@@ -48,13 +48,14 @@ CASES = {
     "curve_simulated": ["simulate", "--experiment", "curve", "--simulated", "--gammas", "0.5",
                         "--n", "200", "--reps", "100", "--cv-target", "0.2", "--seed", "3",
                         "--out", OUT],
-    "df_curve": ["simulate", "--experiment", "curve", "--df-curve", "--cvs", "0.01,0.05,0.3",
-                 "--out", OUT],
+    "df_curve": ["df-curve", "--cvs", "0.01,0.05,0.3", "--out", OUT + ".csv"],
+    "df_curve_default": ["df-curve"],
     "version": ["--version"],
     "help": ["--help"],
     "pool_help": ["pool", "--help"],
     "plan_help": ["plan", "--help"],
     "table1_help": ["table1", "--help"],
+    "df_curve_help": ["df-curve", "--help"],
     "simulate_help": ["simulate", "--help"],
     "simulate_two_stage_help": ["simulate", "--experiment", "two-stage", "--help"],
     "simulate_cv_check_help": ["simulate", "--experiment", "cv-check", "--help"],
