@@ -462,9 +462,13 @@ class TestSimulate:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("miplan simulate: error: ")
 
+    # Numbered from 7, after the seven cases of curve's retired df mode that
+    # came first, so each case keeps the id it has always had.
     @pytest.mark.parametrize("argv, message", [
-        (["curve", "--gammas", "0.5", f"{flag}={value}"], f"{flag} is read only with --simulated")
-        for flag, value in CURVE_MODE_FLAGS.items()
+        pytest.param(["curve", "--gammas", "0.5", f"{flag}={value}"],
+                     f"{flag} is read only with --simulated",
+                     id=f"argv{i}-{flag} is read only with --simulated")
+        for i, (flag, value) in enumerate(CURVE_MODE_FLAGS.items(), start=7)
     ])
     def test_curve_flag_the_mode_would_ignore_is_a_usage_error(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
