@@ -1,8 +1,8 @@
 """Command-line interface: pool, plan, table1, df-curve and simulate subcommands.
 
-Scalar results are emitted as JSON, tables as CSV; ``--format text``
-gives a human-readable rendering rounded to 4 significant digits.
-Machine formats carry 17 significant digits.  All randomness flows from
+Scalar results are emitted as JSON, tables as CSV, each float as its
+shortest round-trip repr (null in JSON when not finite); ``--format text``
+rounds to 4 significant digits.  All randomness flows from
 ``--seed`` (default DEFAULT_SEED), so repeated invocations with the same
 arguments and input files produce byte-identical output.
 """
@@ -62,47 +62,25 @@ class _GivenAction(argparse.Action):
         namespace.given = (*namespace.given, option_string)
 
 
-def _fmt(value: float) -> str:
-    """Machine rendering of a float: 17 significant digits."""
-    return format(float(value), ".17g")
-
-
-def render_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _finite(obj):
+    """obj with each non-finite float in it, at any depth of dicts, as None."""
     if isinstance(obj, dict):
-        body = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {render_json(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int,)):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj) if math.isfinite(obj) else "null"
-    if obj is None:
-        return "null"
-    return json.dumps(obj)
+        return {key: _finite(value) for key, value in obj.items()}
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
+def render_json(payload: dict) -> str:
+    """JSON with floats as their shortest round-trip repr, null when not finite."""
+    return json.dumps(_finite(payload), indent=2, allow_nan=False)
 
 
 def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """CSV with floats as their repr, None as an empty cell, bools as 1 or 0."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_cell(v) for v in row])
+        writer.writerow([int(v) if isinstance(v, bool) else v for v in row])
     return buf.getvalue()
 
 
@@ -285,6 +263,8 @@ def _sim_two_stage(args) -> int:
         level=args.level,
         m_max=args.max_m,
     )
+    if config.reps < 2:  # summarize_two_stage's floor, checked before any draw
+        raise ValueError(f"insufficient replications: need at least 2, got {config.reps}")
     runs = run_two_stage_experiment(config)
     summary = summarize_two_stage(runs)
     header = (
@@ -307,8 +287,8 @@ def _sim_two_stage(args) -> int:
         "reps": config.reps,
         "seed": config.seed,
         "level": config.level,
+        **asdict(summary),
     }
-    fields.update(asdict(summary))
     _emit_outputs(args, header, rows, fields)
     _note_cap(any(r.capped for r in runs.recommendations), args.max_m)
     return 0

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import miplan
 from miplan import cli, montecarlo
@@ -177,7 +180,7 @@ class TestPlan:
         else:
             assert payload["m_uncapped"] is None
 
-    @pytest.mark.parametrize("value, echo", [("200", "200"), ("9e307", "9.0000000000000005e+307")])
+    @pytest.mark.parametrize("value, echo", [("200", "200.0"), ("9e307", "9e+307")])
     def test_df_goal_is_echoed(self, pilot_csv_factory, capsys, value, echo):
         argv = ["plan", "--pilot", self.pilot_path(pilot_csv_factory), "--target-df", value]
         code, out, _ = run_cli(capsys, argv)
@@ -253,7 +256,7 @@ class TestTable1:
         code, out, _ = run_cli(capsys, ["table1", "--gammas", "1e-6,0.999999", "--ms", "5"])
         assert code == 0
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
-            "9.9999999999999995e-07", "0.99999899999999997"
+            "1e-06", "0.999999"
         ]
 
     def test_out_file(self, tmp_path, capsys):
@@ -279,14 +282,14 @@ class TestDfCurve:
         """2 cv^2 underflows to zero below cv of about 1e-162; df is then inf."""
         code, out, err = run_cli(capsys, ["df-curve", "--cvs", f"{cv},0.5"])
         assert (code, err) == (0, "")
-        assert out.splitlines() == ["cv,df", f"{float(cv):.17g},inf", "0.5,2"]
+        assert out.splitlines() == ["cv,df", f"{cv},inf", "0.5,2.0"]
 
     def test_out_writes_exactly_the_path(self, tmp_path, capsys):
         dest = tmp_path / "df.txt"
         code, out, _ = run_cli(capsys, ["df-curve", "--cvs", "0.1", "--out", str(dest)])
         assert (code, out) == (0, "")
         assert [p.name for p in tmp_path.iterdir()] == ["df.txt"]
-        assert dest.read_text() == "cv,df\n0.10000000000000001,49.999999999999993\n"
+        assert dest.read_text() == "cv,df\n0.1,49.99999999999999\n"
 
     def test_grid_outside_unit_interval_exits_one(self, capsys):
         assert_one_error_line(run_cli(capsys, ["df-curve", "--cvs", "0,1"]),
@@ -420,6 +423,18 @@ class TestSimulate:
         out = str(tmp_path / "no_such_dir" / "x")
         result = run_cli(capsys, ["simulate", *argv, "--max-m", "10", "--out", out])
         assert_one_error_line(result, "No such file or directory")
+
+    def test_two_stage_single_rep_exits_before_drawing(self, capsys, monkeypatch):
+        """The summary needs two replications; one is refused before the
+        pilots and finals are drawn, not after."""
+        draws = []
+        draw = montecarlo.impute_m
+        monkeypatch.setattr(montecarlo, "impute_m", lambda *a: draws.append(a[1]) or draw(*a))
+        assert_one_error_line(run_cli(capsys, [
+            "simulate", "--experiment", "two-stage", "--n", "2000", "--target-cv", "0.001",
+            "--reps", "1",
+        ]), "insufficient replications: need at least 2, got 1")
+        assert draws == []
 
     def test_two_stage_needs_target(self, capsys):
         assert_usage_error(capsys, ["two-stage", "--reps", "4"],
@@ -629,7 +644,7 @@ class TestSimulate:
             ])
         assert code == 0
         assert out == (
-            "gamma,m_quadratic,m_linear,m_simulated\n0.5,10,10,\n0.90000000000000002,10,10,\n"
+            "gamma,m_quadratic,m_linear,m_simulated\n0.5,10,10,\n0.9,10,10,\n"
         )
         assert err == "note: m_required capped at --max-m 10\n"
 
@@ -696,8 +711,54 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
-def test_render_json_floats():
-    text = cli.render_json({"a": 0.75, "b": 2, "ok": True, "missing": None})
+# Every finite float: hypothesis draws +-0.0, subnormals and the extremes too.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EXTREMES = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1.7e308)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def with_extremes(test):
+    for value in EXTREMES:
+        test = example(value)(test)
+    return test
+
+
+@given(FINITE)
+@with_extremes
+def test_render_json_floats(value):
+    text = cli.render_json({"x": value, "m": 2, "ok": True, "missing": None})
     parsed = json.loads(text)
-    assert parsed == {"a": 0.75, "b": 2, "ok": True, "missing": None}
-    assert '"a": 0.75' in text
+    assert same_bits(parsed["x"], value)
+    assert parsed == {"x": value, "m": 2, "ok": True, "missing": None}
+
+
+@given(FINITE)
+@with_extremes
+def test_csv_text_floats(value):
+    text = cli.csv_text(("x", "yes", "no", "none"), [(value, True, False, None)])
+    header, row = csv.reader(io.StringIO(text))
+    assert same_bits(float(row[0]), value)
+    assert (header, row[1:]) == (["x", "yes", "no", "none"], ["1", "0", ""])
+
+
+@pytest.mark.parametrize("value, cell", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+def test_non_finite_floats(value, cell):
+    """null in JSON, at any depth; in CSV, the cell float() reads back."""
+    text = cli.render_json({"x": value, "summary": {"sd": value, "n": 3}})
+    assert json.loads(text) == {"x": None, "summary": {"sd": None, "n": 3}}
+    assert cli.csv_text(("x",), [(value,)]) == f"x\n{cell}\n"
+
+
+KEYS = st.text(max_size=8)
+SCALARS = st.none() | st.booleans() | st.integers() | FINITE | KEYS
+VALUES = st.recursive(SCALARS, lambda inner: st.dictionaries(KEYS, inner, max_size=4), max_leaves=8)
+
+
+@given(st.dictionaries(KEYS, VALUES, max_size=6))
+def test_render_json_of_nested_payload_is_json_dumps(payload):
+    """A payload of finite values, nested like the two-stage summary, reads
+    exactly as the standard library writes it."""
+    assert cli.render_json(payload) == json.dumps(payload, indent=2)

@@ -3,7 +3,8 @@
 Each case calls ``main()`` in-process.  It must exit 0 (stderr holding at
 most ``note:`` lines), or exit 1 with exactly one stderr line starting
 ``error:``, or take argparse's exit 2: the usage text, then one
-``miplan ...: error:`` line.  Warnings are raised as errors, so a warning
+``miplan ...: error:`` line.  JSON output must be strict JSON, with no
+``NaN`` or ``Infinity``.  Warnings are raised as errors, so a warning
 that would leak onto stderr fails the case too.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import re
 import tempfile
 import warnings
@@ -79,6 +81,10 @@ def csv_file(body: str):
         yield str(path)
 
 
+def not_strict_json(constant: str):
+    raise AssertionError(f"{constant} in JSON output")
+
+
 def run(argv: list[str]) -> int:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
@@ -91,9 +97,13 @@ def run(argv: list[str]) -> int:
     lines = stderr.getvalue().splitlines()
     if code == 0:
         assert all(line.startswith("note: ") for line in lines), lines
+        if stdout.getvalue().startswith("{"):  # JSON: strict, so no NaN or Infinity
+            json.loads(stdout.getvalue(), parse_constant=not_strict_json)
     elif code == 1:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert stderr.getvalue().endswith("\n")
+        # the JSON encoder's refusal of a non-finite value that was not made null
+        assert "Out of range float values" not in lines[0], lines
     else:
         assert code == 2, code
         assert lines[0].startswith("usage: miplan"), lines
