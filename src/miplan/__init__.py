@@ -27,14 +27,12 @@ from .imputer import (
     impute_once,
 )
 from .montecarlo import (
-    CurveRow,
     EmpiricalCv,
     ExperimentConfig,
     FieldSummary,
     TwoStageRuns,
     TwoStageSummary,
     calibrate_missing_fraction,
-    curve_data,
     derive_seed,
     empirical_cv,
     empirical_cv_of,
@@ -49,9 +47,11 @@ from .montecarlo import (
     summarize_two_stage,
 )
 from .planning import (
+    CurveRow,
     DEFAULT_M_MAX,
     Recommendation,
     ReplicabilityTarget,
+    curve_data,
     df_cv_curve,
     df_for_cv,
     m_for_se_cv,
@@ -85,14 +85,12 @@ __all__ = [
     "fit_and_draw",
     "impute_m",
     "impute_once",
-    "CurveRow",
     "EmpiricalCv",
     "ExperimentConfig",
     "FieldSummary",
     "TwoStageRuns",
     "TwoStageSummary",
     "calibrate_missing_fraction",
-    "curve_data",
     "derive_seed",
     "empirical_cv",
     "empirical_cv_of",
@@ -105,9 +103,11 @@ __all__ = [
     "simulated_required_m",
     "stream",
     "summarize_two_stage",
+    "CurveRow",
     "DEFAULT_M_MAX",
     "Recommendation",
     "ReplicabilityTarget",
+    "curve_data",
     "df_cv_curve",
     "df_for_cv",
     "m_for_se_cv",

@@ -1,4 +1,4 @@
-"""Command-line interface: pool, plan, table1, df-curve and simulate subcommands.
+"""Command-line interface: pool, plan, table1, curve, df-curve and simulate subcommands.
 
 Scalar results are emitted as JSON, tables as CSV, each float as its
 shortest round-trip repr (null in JSON when not finite); ``--format text``
@@ -17,13 +17,13 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from itertools import zip_longest
 from typing import Sequence
 
 from . import __version__
 from .fmi import round_half_away, table1
 from .montecarlo import (
     ExperimentConfig,
-    curve_data,
     derive_seed,
     empirical_cv_of,
     pool_fixed_dataset,
@@ -31,7 +31,7 @@ from .montecarlo import (
     simulated_required_m,
     summarize_two_stage,
 )
-from .planning import DEFAULT_M_MAX, ReplicabilityTarget, df_cv_curve, recommend
+from .planning import DEFAULT_M_MAX, ReplicabilityTarget, curve_data, df_cv_curve, recommend
 from .pooling import pool, read_results_csv
 
 DEFAULT_SEED = 31415
@@ -51,15 +51,6 @@ class _TargetAction(argparse.Action):
 
     def __call__(self, parser, namespace, value, option_string=None):
         namespace.target = (TARGET_FLAGS[option_string][0], value)
-
-
-class _GivenAction(argparse.Action):
-    """Store a flag's value and add the flag to args.given, so that a flag
-    given at its default value can be told from one left out."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        setattr(namespace, self.dest, value)
-        namespace.given = (*namespace.given, option_string)
 
 
 def _finite(obj):
@@ -91,6 +82,12 @@ def _parse_list(text: str, kind: type) -> list:
     except ValueError:
         name = "integer" if kind is int else "float"
         raise ValueError(f"invalid input: cannot parse {name} list {text!r}") from None
+
+
+def _add_curve_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--gammas", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", help="gamma grid")
+    p.add_argument("--cv-target", type=float, default=0.05, help="SE CV target")
+    p.add_argument("--max-m", type=int, default=DEFAULT_M_MAX)
 
 
 def _add_target_flags(p: argparse.ArgumentParser, plan: bool) -> None:
@@ -133,6 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--format", choices=("csv", "text"), default="csv")
 
+    p = sub.add_parser("curve", help=EXPERIMENTS["curve"][2])
+    p.set_defaults(handler=cmd_curve)
+    _add_curve_flags(p)
+    p.add_argument("--out", metavar="PATH")
+
     p = sub.add_parser("df-curve", help="df of the pooled variance for each CV of the pooled SE")
     p.set_defaults(handler=cmd_df_curve)
     p.add_argument("--cvs", help="comma list of cv values (default: 0.01 to 0.5)")
@@ -163,6 +165,10 @@ def _print_payload(payload: dict, fmt: str = "json") -> None:
         print(f"{key}: {format(value, '.4g') if isinstance(value, float) else value}")
 
 
+def _out_base(out: str) -> str:  # simulate's --out BASE, a .csv then a .json suffix dropped
+    return out.removesuffix(".csv").removesuffix(".json")
+
+
 def _emit_outputs(args, header, rows, fields) -> None:
     """A simulation's summary (the data setup, then fields) to stdout; with
     --out BASE, its rows to BASE.csv and the summary to BASE.json."""
@@ -175,7 +181,7 @@ def _emit_outputs(args, header, rows, fields) -> None:
     }
     text = render_json(payload) + "\n"
     if args.out:
-        base = args.out.removesuffix(".csv").removesuffix(".json")
+        base = _out_base(args.out)
         _write(csv_text(header, rows), base + ".csv")
         _write(text, base + ".json")
     sys.stdout.write(text)
@@ -241,6 +247,19 @@ def cmd_table1(args) -> int:
     else:
         text = csv_text(header, cells)
     _write(text, args.out)
+    return 0
+
+
+def _curve_csv(rows, simulated=()) -> str:
+    """The curve table; m_simulated is empty past the end of simulated."""
+    return csv_text(("gamma", "m_quadratic", "m_linear", "m_simulated"),
+                    [(r.gamma, r.m_quadratic, r.m_linear, m) for r, m in zip_longest(rows, simulated)])
+
+
+def cmd_curve(args) -> int:
+    rows = curve_data(_parse_list(args.gammas, float), args.cv_target, args.max_m)
+    _write(_curve_csv(rows), args.out)
+    _note_cap(any(r.capped for r in rows), args.max_m)
     return 0
 
 
@@ -316,29 +335,15 @@ def _sim_cv_check(args) -> int:
 
 
 def _sim_curve(args) -> int:
-    # A flag that only the simulated column reads is a usage error without it.
-    if args.given and not args.simulated:
-        _EXPERIMENT_PARSERS["curve"].error(f"{args.given[0]} is read only with --simulated")
     rows = curve_data(_parse_list(args.gammas, float), args.cv_target, args.max_m)
-    capped = any(r.capped for r in rows)
-    simulated = [None] * len(rows)
-    if args.simulated:  # after curve_data has checked every gamma
-        simulated = [
-            simulated_required_m(r.gamma, args.cv_target, n=args.n, reps=args.reps,
-                                 seed=derive_seed(args.seed, i), rho=args.rho,
-                                 m_max=args.max_m)
-            for i, r in enumerate(rows)
-        ]
-        # A fit cut to --max-m answers --max-m; one that lands on it exactly
-        # gets the note too, since the fitted m estimates a goal that may lie above.
-        capped = capped or args.max_m in simulated
-    text = csv_text(
-        ("gamma", "m_quadratic", "m_linear", "m_simulated"),
-        [(r.gamma, r.m_quadratic, r.m_linear, m) for r, m in zip(rows, simulated)],
-    )
-    # The curve writes BASE.csv only.
-    _write(text, args.out and args.out.removesuffix(".csv") + ".csv")
-    _note_cap(capped, args.max_m)
+    # Simulated only once curve_data has checked every gamma; written to BASE.csv only.
+    simulated = [simulated_required_m(r.gamma, args.cv_target, n=args.n, reps=args.reps, rho=args.rho,
+                                      seed=derive_seed(args.seed, i), m_max=args.max_m)
+                 for i, r in enumerate(rows)]
+    _write(_curve_csv(rows, simulated), args.out and _out_base(args.out) + ".csv")
+    # A fit cut to --max-m answers --max-m; one that lands on it exactly
+    # gets the note too, since the fitted m estimates a goal that may lie above.
+    _note_cap(any(r.capped for r in rows) or args.max_m in simulated, args.max_m)
     return 0
 
 
@@ -389,15 +394,12 @@ def build_experiment_parsers() -> dict[str | None, argparse.ArgumentParser]:
             allow_abbrev=False,
         )
         p.set_defaults(handler=handler)
-        # curve notes which of these it was given: only --simulated reads them.
-        noted = _GivenAction if name == "curve" else None
-        p.add_argument("--n", type=int, default=2000, action=noted)
-        p.add_argument("--rho", type=float, default=0.0, action=noted)
+        p.add_argument("--n", type=int, default=2000)
+        p.add_argument("--rho", type=float, default=0.0)
         if name != "curve":
             p.add_argument("--missing", type=float, default=0.5)
-        p.add_argument("--reps", type=int, default=reps, action=noted,
-                       help="replications (default: %(default)s)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, action=noted)
+        p.add_argument("--reps", type=int, default=reps, help="replications (default: %(default)s)")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", metavar="BASE", help="write BASE.csv" if name == "curve"
                        else "write BASE.csv (records) and BASE.json (summary)")
         p.add_argument("--workers", type=int, default=1,
@@ -412,13 +414,10 @@ def build_experiment_parsers() -> dict[str | None, argparse.ArgumentParser]:
     p.add_argument("--pilot-m", type=int, default=5)
     p.add_argument("--df-threshold", type=float, default=100.0)
     p = parsers["curve"]
-    p.epilog = "--n, --rho, --seed and --reps are read only with --simulated."
-    p.set_defaults(given=())
-    p.add_argument("--gammas", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", help="gamma grid")
-    p.add_argument("--cv-target", type=float, default=0.05, help="SE CV target")
-    p.add_argument("--max-m", type=int, default=DEFAULT_M_MAX)
-    p.add_argument("--simulated", action="store_true",
-                   help="add the simulated required-m column to the curve (slow)")
+    _add_curve_flags(p)
+    # Required: the retired rule-only spelling exits 2 instead of simulating.
+    p.add_argument("--simulated", action="store_true", required=True,
+                   help="fill the m_simulated column (required; miplan curve prints the rule table)")
     return parsers
 
 

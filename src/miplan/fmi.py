@@ -49,6 +49,8 @@ def clamp_gamma(gamma: float) -> float:
 def check_level(level: float) -> None:
     if not (0.0 < level < 1.0):
         raise ValueError(f"domain error: level must be in (0, 1), got {level!r}")
+    if 0.5 * (1.0 + level) == 1.0:  # the p of gamma_ci's and pool's quantiles
+        raise ValueError(f"domain error: level {level!r} is too close to 1: (1 + level) / 2 rounds to 1")
 
 
 @dataclass(frozen=True)

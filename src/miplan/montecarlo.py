@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .planning import (
     ReplicabilityTarget,
     _capped_count,
     _recommend,
-    _se_cv_rule,
     recommend,
 )
 from .pooling import PooledAnalysis, PooledReplicates, pool_arrays, pool_rows
@@ -423,40 +421,6 @@ def required_m(
     # A goal so strict that (c / cv_target)^2 overflows reads inf: m_hi, with no warning.
     with np.errstate(over="ignore"):
         return _capped_count(1.0 + (c / cv_target) ** 2, m_hi)[0]
-
-
-@dataclass(frozen=True)
-class CurveRow:
-    gamma: float
-    m_quadratic: int
-    m_linear: int
-    capped: bool = False  # m_quadratic or m_linear was cut to m_max
-
-
-def curve_data(
-    gammas: Sequence[float],
-    cv_target: float = 0.05,
-    m_max: int = DEFAULT_M_MAX,
-) -> list[CurveRow]:
-    """Required-m comparison table: quadratic rule vs the linear rule
-    m = 100 * gamma; simulated_required_m gives the m that checks which
-    rule tracks reality.  Both rule columns are capped at m_max without a
-    warning; a row's capped field says whether either was cut."""
-    if len(gammas) == 0:
-        raise ValueError("domain error: curve needs at least one gamma")
-    rows = []
-    for gamma in gammas:
-        m_quadratic, quadratic_uncapped = _capped_count(_se_cv_rule(gamma, cv_target), m_max)
-        m_linear, linear_uncapped = _capped_count(100.0 * gamma, m_max)
-        rows.append(
-            CurveRow(
-                gamma=float(gamma),
-                m_quadratic=m_quadratic,
-                m_linear=m_linear,
-                capped=(m_quadratic, m_linear) != (quadratic_uncapped, linear_uncapped),
-            )
-        )
-    return rows
 
 
 # The cache never hits, since no caller revisits a cell; it stays because

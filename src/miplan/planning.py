@@ -141,6 +141,40 @@ def df_cv_curve(cvs: Sequence[float]) -> list[tuple[float, float]]:
     return [(float(cv), df_for_cv(cv)) for cv in cvs]
 
 
+@dataclass(frozen=True)
+class CurveRow:
+    gamma: float
+    m_quadratic: int
+    m_linear: int
+    capped: bool = False  # m_quadratic or m_linear was cut to m_max
+
+
+def curve_data(
+    gammas: Sequence[float],
+    cv_target: float = 0.05,
+    m_max: int = DEFAULT_M_MAX,
+) -> list[CurveRow]:
+    """The table of ``miplan curve``: quadratic rule vs the linear rule
+    m = 100 * gamma; montecarlo.simulated_required_m gives the m that checks
+    which rule tracks reality.  Both rule columns are capped at m_max without
+    a warning; a row's capped field says whether either was cut."""
+    if len(gammas) == 0:
+        raise ValueError("domain error: curve needs at least one gamma")
+    rows = []
+    for gamma in gammas:
+        m_quadratic, quadratic_uncapped = _capped_count(_se_cv_rule(gamma, cv_target), m_max)
+        m_linear, linear_uncapped = _capped_count(100.0 * gamma, m_max)
+        rows.append(
+            CurveRow(
+                gamma=float(gamma),
+                m_quadratic=m_quadratic,
+                m_linear=m_linear,
+                capped=(m_quadratic, m_linear) != (quadratic_uncapped, linear_uncapped),
+            )
+        )
+    return rows
+
+
 def recommend(
     pilot: PooledAnalysis,
     target: ReplicabilityTarget,

@@ -268,6 +268,27 @@ class TestTable1:
         assert len(rows) == 20
 
 
+class TestCurve:
+    def test_out_writes_exactly_the_path(self, tmp_path, capsys):
+        dest = tmp_path / "curve.json"
+        code, out, _ = run_cli(capsys, ["curve", "--gammas", "0.5", "--out", str(dest)])
+        assert (code, out) == (0, "")
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.json"]
+        assert dest.read_text() == "gamma,m_quadratic,m_linear,m_simulated\n0.5,51,50,\n"
+
+    def test_grid_outside_unit_interval_exits_one(self, capsys):
+        assert_one_error_line(run_cli(capsys, ["curve", "--gammas", "0.5,1"]),
+                              "domain error: gamma must be in (0, 1), got 1.0")
+
+    @pytest.mark.parametrize("given", [["--seed", "1"], ["--n", "5"], ["--simulated"]])
+    def test_simulation_flag_is_a_usage_error(self, capsys, given):
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", *given])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"miplan: error: unrecognized arguments: {' '.join(given)}")
+
+
 class TestDfCurve:
     def test_df_curve(self, capsys):
         code, out, _ = run_cli(capsys, ["df-curve", "--cvs", "0.05,0.1"])
@@ -316,7 +337,7 @@ SEEDED_EXPERIMENTS = {
 SMALL_EXPERIMENTS = {
     "cv-check": SEEDED_EXPERIMENTS["cv-check"],
     "df-reliability": SEEDED_EXPERIMENTS["df-reliability"],
-    "curve": ["--experiment", "curve", "--gammas", "0.5"],
+    "curve": SEEDED_EXPERIMENTS["curve-simulated"],
     "two-stage": ["--experiment", "two-stage", "--n", "300", "--reps", "2", "--target-cv", "0.2"],
 }
 
@@ -331,9 +352,6 @@ READS = {
     "curve": "--n --rho --seed --reps --out --workers --gammas --cv-target --max-m --simulated",
 }
 SWITCHES = {"--simulated"}
-# curve's flags that only --simulated reads, each with a value at its
-# default: given at all, each is a usage error without --simulated.
-CURVE_MODE_FLAGS = {"--n": "2000", "--rho": "0", "--seed": "31415", "--reps": "200"}
 # curve's flags for the df table before it became the df-curve command: no
 # experiment reads them, so an old script fails instead of getting another table.
 RETIRED_FLAGS = "--df-curve --cvs"
@@ -415,13 +433,14 @@ class TestSimulate:
         assert json.loads(out)["m_required"]["min"] == 10000
 
     @pytest.mark.parametrize("argv", [
-        ["--experiment", "curve", "--gammas", "0.5"],
-        ["--experiment", "two-stage", "--n", "200", "--target-cv", "0.001", "--reps", "3"],
+        ["curve", "--gammas", "0.5"],
+        ["simulate", "--experiment", "two-stage", "--n", "200", "--target-cv", "0.001",
+         "--reps", "3"],
     ])
     def test_failed_write_leaves_only_the_error(self, tmp_path, capsys, argv):
         # The cap applies, but its note follows the outputs, which were not written.
         out = str(tmp_path / "no_such_dir" / "x")
-        result = run_cli(capsys, ["simulate", *argv, "--max-m", "10", "--out", out])
+        result = run_cli(capsys, [*argv, "--max-m", "10", "--out", out])
         assert_one_error_line(result, "No such file or directory")
 
     def test_two_stage_single_rep_exits_before_drawing(self, capsys, monkeypatch):
@@ -477,16 +496,20 @@ class TestSimulate:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("miplan simulate: error: ")
 
-    # Numbered from 7, after the seven cases of curve's retired df mode that
-    # came first, so each case keeps the id it has always had.
-    @pytest.mark.parametrize("argv, message", [
-        pytest.param(["curve", "--gammas", "0.5", f"{flag}={value}"],
-                     f"{flag} is read only with --simulated",
-                     id=f"argv{i}-{flag} is read only with --simulated")
-        for i, (flag, value) in enumerate(CURVE_MODE_FLAGS.items(), start=7)
-    ])
-    def test_curve_flag_the_mode_would_ignore_is_a_usage_error(self, capsys, argv, message):
-        assert_usage_error(capsys, argv, message)
+    def test_curve_without_simulated_is_a_usage_error(self, capsys):
+        """The rule table is the curve command; the experiment only simulates,
+        so its old rule-only spelling stops before any draw."""
+        assert_usage_error(capsys, ["curve"], "the following arguments are required: --simulated")
+
+    @pytest.mark.parametrize("experiment", list(SMALL_EXPERIMENTS))
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_out_drops_a_csv_or_json_suffix(self, tmp_path, capsys, experiment, suffix):
+        """--out BASE.csv and --out BASE.json both name BASE, under every
+        experiment; the curve writes no summary file."""
+        argv = ["simulate", *SMALL_EXPERIMENTS[experiment], "--out", str(tmp_path / f"x{suffix}")]
+        assert run_cli(capsys, argv)[0] == 0
+        written = ["x.csv"] if experiment == "curve" else ["x.csv", "x.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == written
 
     def test_curve_simulated_seeds_each_row_by_its_index(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -626,8 +649,10 @@ class TestSimulate:
             assert field["sd"] == 0 and field["mean"] == field["min"] == field["max"], name
         assert summary["achieved_sd_of_se"] == 0
 
+    # The curve command's first cases, which date from its time as a simulate
+    # mode, keep their ids here; TestCurve holds the rest.
     def test_curve_stdout(self, capsys):
-        code, out, _ = run_cli(capsys, ["simulate", "--experiment", "curve", "--gammas", "0.1,0.5,0.9"])
+        code, out, _ = run_cli(capsys, ["curve", "--gammas", "0.1,0.5,0.9"])
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "gamma,m_quadratic,m_linear,m_simulated"
@@ -639,9 +664,7 @@ class TestSimulate:
     def test_curve_cap_reported_with_one_note(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, [
-                "simulate", "--experiment", "curve", "--gammas", "0.5,0.9", "--max-m", "10",
-            ])
+            code, out, err = run_cli(capsys, ["curve", "--gammas", "0.5,0.9", "--max-m", "10"])
         assert code == 0
         assert out == (
             "gamma,m_quadratic,m_linear,m_simulated\n0.5,10,10,\n0.9,10,10,\n"
@@ -649,9 +672,8 @@ class TestSimulate:
         assert err == "note: m_required capped at --max-m 10\n"
 
     def test_curve_max_m_below_two_exits_one(self, capsys):
-        assert_one_error_line(run_cli(capsys, [
-            "simulate", "--experiment", "curve", "--gammas", "0.5", "--max-m", "-3",
-        ]), "domain error: m_max must be >= 2")
+        assert_one_error_line(run_cli(capsys, ["curve", "--gammas", "0.5", "--max-m", "-3"]),
+                              "domain error: m_max must be >= 2")
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_df_threshold_not_finite_exits_one(self, capsys, threshold):
@@ -679,12 +701,32 @@ class TestSimulate:
 @pytest.mark.parametrize("argv", [
     ["table1", "--gammas", ","],
     ["table1", "--ms", ","],
-    ["simulate", "--experiment", "curve", "--gammas", ","],
+    ["curve", "--gammas", ","],
     ["df-curve", "--cvs", ","],
     ["df-curve", "--cvs", ""],
 ])
 def test_empty_grid_exits_one(capsys, argv):
     assert_one_error_line(run_cli(capsys, argv), "domain error: ", "at least one")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pool", "--in", "PILOT"],
+    ["plan", "--pilot", "PILOT", "--target-cv", "0.05"],
+    ["table1"],
+    ["simulate", "--experiment", "two-stage", "--n", "200", "--reps", "50", "--target-cv", "0.05"],
+])
+def test_level_whose_quantile_p_rounds_to_one_exits_one(tmp_path, capsys, monkeypatch, argv):
+    """1 - 2**-53 lies inside (0, 1), but (1 + level) / 2 rounds to 1, where
+    no quantile exists; the error names the level, and no imputation is drawn."""
+    draws = []
+    draw = montecarlo.impute_m
+    monkeypatch.setattr(montecarlo, "impute_m", lambda *a: draws.append(a[1]) or draw(*a))
+    pilot = write_two_row_csv(tmp_path)
+    result = run_cli(capsys, [pilot if a == "PILOT" else a for a in argv]
+                     + ["--level", repr(1 - 2**-53)])
+    assert_one_error_line(result, "domain error: level 0.9999999999999999 is too close to 1: "
+                          "(1 + level) / 2 rounds to 1")
+    assert draws == []
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

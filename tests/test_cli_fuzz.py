@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from miplan.cli import main
 
-from test_cli import CURVE_MODE_FLAGS, FOREIGN_FLAGS, READS, SWITCHES
+from test_cli import FOREIGN_FLAGS, READS, SWITCHES
 
 HEADER = "imputation,estimate,variance\n"
 
@@ -163,6 +163,17 @@ def test_df_curve(cvs):
     run(["df-curve", f"--cvs={','.join(cvs)}"])
 
 
+@FUZZ
+@given(
+    gammas=st.lists(mostly(floats(0.0, 1.0)), max_size=4),
+    # tiny clean cv targets reach the overflow of (gamma / cv)^2, where the cap applies
+    cv=mostly(floats(1e-300, 0.999)),
+    max_m=MAX_M,
+)
+def test_curve(gammas, cv, max_m):
+    run(["curve", f"--gammas={','.join(gammas)}", f"--cv-target={cv}", f"--max-m={max_m}"])
+
+
 # Count flags: never a large count, which would only make the run long.
 # Always given --n, --reps and curve's --gammas where they are read, since
 # their defaults make long runs; cv-check and df-reliability need 100
@@ -184,14 +195,6 @@ SIM_FLAGS = {
     **{flag: values.map(str) for flag, values in SIM_COUNTS.items()},
 }
 HOSTILE_COUNT = st.sampled_from(["-1", "0", "x", "1.5", ""])
-
-
-def mode_reads(experiment: str, simulated: bool) -> set[str]:
-    """The flags the experiment reads; curve's depend on --simulated."""
-    reads = set(READS[experiment].split())
-    if experiment == "curve" and not simulated:
-        return reads - set(CURVE_MODE_FLAGS)
-    return reads
 
 
 @st.composite
@@ -220,22 +223,17 @@ def simulate_flags(draw, own: set[str]) -> dict[str, str]:
     experiment=st.sampled_from(sorted(READS)),
     data=st.data(),
     targets=mostly(st.lists(TARGET, min_size=1, max_size=1), st.lists(TARGET, max_size=2)),
-    simulated=st.booleans(),
 )
-def test_simulate(experiment, data, targets, simulated):
-    simulated = simulated and experiment == "curve"
-    own = mode_reads(experiment, simulated)
+def test_simulate(experiment, data, targets):
+    own = set(READS[experiment].split())
     argv = ["simulate", "--experiment", experiment]
     argv += [f"{flag}={value}" for flag, value in data.draw(simulate_flags(own)).items()]
     if experiment == "two-stage":
         argv += [f"{flag}={value}" for flag, value in targets]
-    if simulated:
+    if experiment == "curve":
         argv.append("--simulated")
     if data.draw(st.integers(0, 3)) < 3:  # the simplest draw, 0, keeps to the own flags
         run(argv)
-    else:  # in one run of four, a flag that only other experiments or curve modes read
-        foreign = [f for e, f in FOREIGN_FLAGS if e == experiment]
-        if experiment == "curve":
-            foreign += sorted(set(CURVE_MODE_FLAGS) - own)
-        flag = data.draw(st.sampled_from(foreign))
+    else:  # in one run of four, a flag that only other experiments read
+        flag = data.draw(st.sampled_from([f for e, f in FOREIGN_FLAGS if e == experiment]))
         assert run(argv + ([flag] if flag in SWITCHES else [flag, "0.5"])) == 2

@@ -125,6 +125,11 @@ def test_m_and_level_validation():
         gamma_ci(0.5, 1)
     with pytest.raises(ValueError, match="domain error"):
         gamma_ci(0.5, 5, level=0.0)
+    # The largest level below 1 leaves (1 + level) / 2 at 1, where no quantile
+    # exists; the next one down does not.
+    with pytest.raises(ValueError, match=r"level 0.9999999999999999 is too close to 1"):
+        gamma_ci(0.5, 5, level=1 - 2**-53)
+    assert gamma_ci(0.5, 5, level=1 - 2**-52).upper < 1.0
 
 
 def test_round_half_away():

@@ -43,8 +43,7 @@ CASES = {
     "df_reliability": ["simulate", "--experiment", "df-reliability", "--n", "300",
                        "--missing", "0.4", "--pilot-m", "5", "--reps", "100", "--seed", "21",
                        "--out", OUT],
-    "curve": ["simulate", "--experiment", "curve", "--gammas", "0.1,0.35,0.9",
-              "--cv-target", "0.03"],
+    "curve": ["curve", "--gammas", "0.1,0.35,0.9", "--cv-target", "0.03"],
     "curve_simulated": ["simulate", "--experiment", "curve", "--simulated", "--gammas", "0.5",
                         "--n", "200", "--reps", "100", "--cv-target", "0.2", "--seed", "3",
                         "--out", OUT],
@@ -55,6 +54,7 @@ CASES = {
     "pool_help": ["pool", "--help"],
     "plan_help": ["plan", "--help"],
     "table1_help": ["table1", "--help"],
+    "curve_help": ["curve", "--help"],
     "df_curve_help": ["df-curve", "--help"],
     "simulate_help": ["simulate", "--help"],
     "simulate_two_stage_help": ["simulate", "--experiment", "two-stage", "--help"],

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -17,9 +16,7 @@ from miplan import (
     ReplicabilityTarget,
     TwoStageRuns,
     calibrate_missing_fraction,
-    curve_data,
     derive_seed,
-    df_cv_curve,
     empirical_cv,
     gen_incomplete,
     pool_fixed_dataset,
@@ -498,39 +495,6 @@ class TestDfReliability:
             assert np.array_equal(getattr(pooled, f.name), getattr(expected, f.name)), f.name
         with pytest.raises(ValueError, match="insufficient replications"):
             pool_fixed_dataset(300, 0.0, 0.5, 5, 99, seed=3)
-
-
-class TestCurves:
-    def test_rule_columns(self):
-        rows = {r.gamma: r for r in curve_data([0.1, 0.5, 0.9], 0.05)}
-        assert (rows[0.5].m_quadratic, rows[0.5].m_linear) == (51, 50)
-        assert (rows[0.9].m_quadratic, rows[0.9].m_linear) == (163, 90)
-        assert (rows[0.1].m_quadratic, rows[0.1].m_linear) == (3, 10)
-
-    def test_cap_flagged_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = curve_data([0.1, 0.5, 0.9], 0.05, m_max=50)
-        assert [(r.m_quadratic, r.m_linear, r.capped) for r in rows] == [
-            (3, 10, False), (50, 50, True), (50, 50, True)
-        ]
-        with pytest.raises(ValueError, match="domain error: m_max"):
-            curve_data([0.5], 0.05, m_max=-3)
-
-    def test_df_cv_curve(self):
-        pairs = dict(df_cv_curve([0.05, 0.1]))
-        assert pairs[0.05] == pytest.approx(200.0, rel=1e-12)
-        assert pairs[0.1] == pytest.approx(50.0, rel=1e-12)
-        assert df_cv_curve([1e-200]) == [(1e-200, math.inf)]  # 2 cv^2 underflows
-        for bad in (1.5, 0.0, math.nan):
-            with pytest.raises(ValueError, match="domain error"):
-                df_cv_curve([0.05, bad])
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="domain error: curve needs at least one gamma"):
-            curve_data([], 0.05)
-        with pytest.raises(ValueError, match="domain error: df curve needs at least one cv"):
-            df_cv_curve([])
 
 
 def gamma_of(p, rho):

@@ -7,6 +7,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 import miplan
 from miplan import cli, montecarlo
 
@@ -64,3 +66,22 @@ def test_benchmark_names_resolve(monkeypatch, tmp_path):
         argv = workloads.make_inputs(workload, 1, str(tmp_path))["argv"]
         args = cli.parse_args([*argv, "--seed", "1", "--out", "X"])
         assert (args.command, args.seed, args.out, args.workers) == ("simulate", 1, "X", 1)
+
+
+@pytest.mark.parametrize("workload", ["two_stage_small_n", "required_m_search"])
+def test_benchmark_cli_call_passes_its_check(monkeypatch, tmp_path, capsys, workload):
+    """A CLI workload's argv, run once as the benchmark's worker runs it (in
+    process, with --seed and --out, stdout saved to BASE.stdout), passes the
+    benchmark's own check of that call, so a change to the CLI cannot break
+    the benchmark unseen."""
+    workloads = load_perfbench("workloads", monkeypatch)
+    argv = workloads.make_inputs(workload, 1, str(tmp_path))["argv"]
+    base, seed = str(tmp_path / "call"), 7
+    assert cli.main([*argv, "--seed", str(seed), "--out", base]) == 0
+    with open(base + ".stdout", "w") as fh:
+        fh.write(capsys.readouterr().out)
+    if workload == "two_stage_small_n":
+        problems = workloads.check_two_stage_call(base, seed)[0]
+    else:
+        problems = workloads.check_search_call(base)[0]
+    assert problems == []

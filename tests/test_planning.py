@@ -11,6 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from miplan import (
     ReplicabilityTarget,
+    curve_data,
+    df_cv_curve,
     df_for_cv,
     gamma_ci,
     m_for_se_cv,
@@ -273,3 +275,36 @@ class TestRecommend:
         pilot = pool(rows, level)
         rec = recommend(pilot, ReplicabilityTarget("cv_of_se", 0.05))
         assert repr(rec.gamma_used) == repr(gamma_ci(pilot.gamma_hat, pilot.m, level).upper)
+
+
+class TestCurves:
+    def test_rule_columns(self):
+        rows = {r.gamma: r for r in curve_data([0.1, 0.5, 0.9], 0.05)}
+        assert (rows[0.5].m_quadratic, rows[0.5].m_linear) == (51, 50)
+        assert (rows[0.9].m_quadratic, rows[0.9].m_linear) == (163, 90)
+        assert (rows[0.1].m_quadratic, rows[0.1].m_linear) == (3, 10)
+
+    def test_cap_flagged_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = curve_data([0.1, 0.5, 0.9], 0.05, m_max=50)
+        assert [(r.m_quadratic, r.m_linear, r.capped) for r in rows] == [
+            (3, 10, False), (50, 50, True), (50, 50, True)
+        ]
+        with pytest.raises(ValueError, match="domain error: m_max"):
+            curve_data([0.5], 0.05, m_max=-3)
+
+    def test_df_cv_curve(self):
+        pairs = dict(df_cv_curve([0.05, 0.1]))
+        assert pairs[0.05] == pytest.approx(200.0, rel=1e-12)
+        assert pairs[0.1] == pytest.approx(50.0, rel=1e-12)
+        assert df_cv_curve([1e-200]) == [(1e-200, math.inf)]  # 2 cv^2 underflows
+        for bad in (1.5, 0.0, math.nan):
+            with pytest.raises(ValueError, match="domain error"):
+                df_cv_curve([0.05, bad])
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="domain error: curve needs at least one gamma"):
+            curve_data([], 0.05)
+        with pytest.raises(ValueError, match="domain error: df curve needs at least one cv"):
+            df_cv_curve([])
