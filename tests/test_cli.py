@@ -501,6 +501,21 @@ class TestSimulate:
         so its old rule-only spelling stops before any draw."""
         assert_usage_error(capsys, ["curve"], "the following arguments are required: --simulated")
 
+    # An old rule-only run that also gave a simulation flag: it still exits 2
+    # and draws nothing.  Numbered from 7, after the seven cases of curve's
+    # retired df mode that came first, so each case keeps the id it has always had.
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["curve", "--gammas", "0.5", f"{flag}={value}"],
+                     id=f"argv{i}-{flag} is read only with --simulated")
+        for i, (flag, value) in enumerate(
+            {"--n": "2000", "--rho": "0", "--seed": "31415", "--reps": "200"}.items(), start=7)
+    ])
+    def test_curve_flag_the_mode_would_ignore_is_a_usage_error(self, capsys, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(cli, "simulated_required_m", lambda *a, **k: calls.append(a) or 2)
+        assert_usage_error(capsys, argv, "the following arguments are required: --simulated")
+        assert calls == []
+
     @pytest.mark.parametrize("experiment", list(SMALL_EXPERIMENTS))
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
     def test_out_drops_a_csv_or_json_suffix(self, tmp_path, capsys, experiment, suffix):
