@@ -40,6 +40,16 @@ CASES = {
     "two_stage": ["simulate", "--experiment", "two-stage", "--n", "200", "--missing", "0.35",
                   "--pilot-m", "5", "--target-cv", "0.1", "--reps", "10", "--seed", "7",
                   "--out", OUT],
+    "two_stage_sd": ["simulate", "--experiment", "two-stage", "--n", "300", "--missing", "0.4",
+                     "--target-sd", "0.001", "--level", "0.9", "--reps", "10", "--seed", "11",
+                     "--out", OUT],
+    "two_stage_capped": ["simulate", "--experiment", "two-stage", "--n", "200", "--missing", "0.5",
+                         "--target-df", "200", "--max-m", "40", "--reps", "10", "--seed", "13",
+                         "--out", OUT],
+    # finals of thousands of imputations: past numpy's 128-element pairwise
+    # block, and over more than one BLOCK_IMPUTATIONS chunk
+    "two_stage_large": ["simulate", "--experiment", "two-stage", "--n", "2000", "--missing", "0.6",
+                        "--target-cv", "0.004", "--reps", "12", "--seed", "17", "--out", OUT],
     "df_reliability": ["simulate", "--experiment", "df-reliability", "--n", "300",
                        "--missing", "0.4", "--pilot-m", "5", "--reps", "100", "--seed", "21",
                        "--out", OUT],
