@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from itertools import zip_longest
 from typing import Sequence
 
@@ -291,14 +290,11 @@ def _sim_two_stage(args) -> int:
         "gamma_used", "cv_target", "m_required", "pilot_sufficient",
         "final_m", "final_estimate", "final_se", "final_gamma_hat", "final_df_hat",
     )
-    p = runs.pilots
-    pilots = zip(*(c.tolist() for c in (p.theta, p.se, p.gamma_hat, p.df_hat)))
-    finals = zip(*(c.tolist() for c in (runs.final_m, runs.final_theta, runs.final_se,
-                                        runs.final_gamma_hat, runs.final_df_hat)))
-    rows = [
-        (rep, p.m, *pilot, r.gamma_used, r.cv_target, r.m_required, r.pilot_sufficient, *final)
-        for rep, (pilot, r, final) in enumerate(zip(pilots, runs.recommendations, finals))
-    ]
+    p, r = runs.pilots, runs.recommendations
+    columns = (p.theta, p.se, p.gamma_hat, p.df_hat, r.gamma_used, r.cv_target, r.m_required,
+               r.pilot_sufficient, runs.final_m, runs.final_theta, runs.final_se,
+               runs.final_gamma_hat, runs.final_df_hat)
+    rows = [(rep, p.m, *row) for rep, row in enumerate(zip(*(c.tolist() for c in columns)))]
     fields = {
         "pilot_m": config.pilot_m,
         "target_kind": target.kind,
@@ -306,10 +302,10 @@ def _sim_two_stage(args) -> int:
         "reps": config.reps,
         "seed": config.seed,
         "level": config.level,
-        **asdict(summary),
+        **summary.as_dict(),
     }
     _emit_outputs(args, header, rows, fields)
-    _note_cap(any(r.capped for r in runs.recommendations), args.max_m)
+    _note_cap(bool(r.capped.any()), args.max_m)
     return 0
 
 

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .quantiles import normal_quantile
 
 # Estimates of exactly 0 or 1 are clamped this far inside (0, 1) so the
@@ -80,12 +82,8 @@ def gamma_ci(gamma_hat: float, m: int, level: float = 0.95) -> GammaInterval:
     Pool m >= 20 imputations when the upper bound matters, as it does in
     planning.recommend.
     """
-    if m < 2:
-        raise ValueError(f"insufficient imputations: need m >= 2, got {m}")
-    check_level(level)
+    half = _half_width(m, level)
     point = clamp_gamma(gamma_hat)
-    z = normal_quantile(0.5 * (1.0 + level))
-    half = z * math.sqrt(2.0 / m)
     center = logit(point)
     return GammaInterval(
         point=point,
@@ -94,6 +92,25 @@ def gamma_ci(gamma_hat: float, m: int, level: float = 0.95) -> GammaInterval:
         level=level,
         m=int(m),
     )
+
+
+def gamma_upper_bounds(gamma_hats: np.ndarray, m: int, level: float = 0.95) -> np.ndarray:
+    """``gamma_ci(g, m, level).upper`` for each g of gamma_hats, bit for bit,
+    with one quantile for them all.
+
+    Each bound goes through the scalar ``logit`` and ``inv_logit``: numpy's
+    exp and log differ from math's in the last bit for a few percent of
+    values, so an array transform would move the bounds by ulps."""
+    half = _half_width(m, level)
+    return np.array([inv_logit(logit(clamp_gamma(g)) + half) for g in gamma_hats.tolist()])
+
+
+def _half_width(m: int, level: float) -> float:
+    """The logit-scale half-width z * sqrt(2/m) of a gamma interval at level."""
+    if m < 2:
+        raise ValueError(f"insufficient imputations: need m >= 2, got {m}")
+    check_level(level)
+    return normal_quantile(0.5 * (1.0 + level)) * math.sqrt(2.0 / m)
 
 
 def table1(

@@ -12,7 +12,9 @@ the finals of the replications whose pilot falls short in chunks, chunk c
 from stream(seed, TAG_FINAL, c); so a replication's final depends on the
 seed, its own m_required and the m_required of each short replication
 before it.  Every experiment returns its replications by column
-(``PooledReplicates``, ``TwoStageRuns``); only a pilot gets an interval.
+(``PooledReplicates``, ``TwoStageRuns``), and a two-stage experiment
+plans and summarises by column too; of the intervals, only the upper
+bound of each pilot's gamma interval is computed.
 """
 
 from __future__ import annotations
@@ -23,17 +25,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fmi import check_level, gamma_ci
+from .fmi import check_level
 from .imputer import IncompleteBivariate, draw_mean_variates, mean_analyses
 from .planning import (
     DEFAULT_M_MAX,
     Recommendation,
+    RecommendationColumns,
     ReplicabilityTarget,
     _capped_count,
-    _recommend,
+    _check_m_max,
     recommend,
+    recommend_replicates,
 )
-from .pooling import PooledAnalysis, PooledReplicates, pool_arrays, pool_rows
+from .pooling import PooledAnalysis, PooledReplicates, pool_arrays, pool_rows, pool_segments
 
 # Spawn-key tags keep the dataset, the replications, the search probes,
 # calibrate_gamma's datasets and the two-stage finals on disjoint streams
@@ -119,6 +123,7 @@ class ExperimentConfig:
         if self.reps < 1:
             raise ValueError(f"domain error: reps must be >= 1, got {self.reps}")
         check_level(self.level)
+        _check_m_max(self.m_max)
         _check_seed(self.seed)
 
 
@@ -174,7 +179,7 @@ class TwoStageRuns:
     final_m is max(pilot_m, m_required)."""
 
     pilots: PooledReplicates
-    recommendations: list[Recommendation]
+    recommendations: RecommendationColumns
     final_m: np.ndarray
     final_theta: np.ndarray
     final_se: np.ndarray
@@ -193,49 +198,45 @@ def run_two_stage_experiment(
     SEs estimates their re-imputation variability on this data.
 
     Each replication has the distribution of ``run_two_stage`` on a fresh
-    stream, but the draws go a block at a time.  The pilots are
-    ``pool_replicates(data, pilot_m, reps, seed)``, and each gets the
-    recommendation that ``recommend`` gives its pooling at config.level,
-    from its gamma interval alone: nothing reads a pilot's theta interval,
-    so none is computed.  A sufficient pilot doubles as the final and draws
+    stream, but the draws go a block at a time and the work after them by
+    column.  The pilots are ``pool_replicates(data, pilot_m, reps, seed)``,
+    and ``recommend_replicates`` gives them, at config.level, the columns
+    of what ``recommend`` gives each: only the upper bound of each pilot's
+    gamma interval is computed, since nothing reads the rest of it or a
+    theta interval.  A sufficient pilot doubles as the final and draws
     nothing.  The other replications, in rep order, are grouped into chunks
     of at most BLOCK_IMPUTATIONS final imputations (a replication is never
     split, so a chunk holding one replication can be larger).  Chunk c
     draws all its imputations from stream(seed, TAG_FINAL, c) in one
-    ``impute_m`` call and gives them one closed-form call; each
-    replication's contiguous run of m_required variates is one
-    ``pool_rows``, with no interval, since no reader of a final uses one.
+    ``impute_m`` call, gives them one closed-form call, and pools each
+    replication's contiguous run of m_required of them in one
+    ``pool_segments`` call, with no interval, since no reader of a final
+    uses one.
     """
     if data is None:
         data = gen_incomplete(
             config.n, config.rho, config.missing_fraction, stream(config.seed, TAG_DATA)
         )
     pilots = pool_replicates(data, config.pilot_m, config.reps, config.seed)
-    recs = [_recommend(gamma_ci(float(pilots.gamma_hat[r]), pilots.m, config.level).upper,
-                       float(pilots.se[r]), pilots.m, config.target, config.m_max)
-            for r in range(config.reps)]
+    recs = recommend_replicates(pilots, config.target, config.level, config.m_max)
     final_m = np.full(config.reps, config.pilot_m)
     finals = {name: getattr(pilots, name).copy() for name in ("theta", "se", "gamma_hat", "df_hat")}
-    chunks: list[list[int]] = []
+    short = np.flatnonzero(~recs.pilot_sufficient)
+    chunks: list[tuple[list[int], list[int]]] = []  # (replications, their m_required)
     size = math.inf  # the first short replication opens the first chunk
-    short = [r for r, rec in enumerate(recs) if not rec.pilot_sufficient]
-    for r in short:
-        if size + recs[r].m_required > BLOCK_IMPUTATIONS:
-            chunks.append([])
+    for r, m in zip(short.tolist(), recs.m_required[short].tolist()):
+        if size + m > BLOCK_IMPUTATIONS:
+            chunks.append(([], []))
             size = 0
-        chunks[-1].append(r)
-        size += recs[r].m_required
-    for c, chunk in enumerate(chunks):
-        ms = [recs[r].m_required for r in chunk]
+        chunks[-1][0].append(r)
+        chunks[-1][1].append(m)
+        size += m
+    for c, (chunk, ms) in enumerate(chunks):
         variates = impute_m(data, sum(ms), stream(config.seed, TAG_FINAL, c))
-        estimates, withins = mean_analyses(data.mean_stats, *variates)
-        end = 0
-        for r, m in zip(chunk, ms):
-            start, end = end, end + m
-            final = pool_rows(estimates[start:end], withins[start:end])
-            final_m[r] = m  # after the draw, which rejects an m past int64
-            for name, column in finals.items():
-                column[r] = getattr(final, name)
+        final = pool_segments(*mean_analyses(data.mean_stats, *variates), ms)
+        final_m[chunk] = ms  # after the draw, which rejects an m past int64
+        for name, column in finals.items():
+            column[chunk] = getattr(final, name)
     return TwoStageRuns(pilots, recs, final_m, **{f"final_{k}": v for k, v in finals.items()})
 
 
@@ -273,21 +274,32 @@ class TwoStageSummary:
     final_gamma_hat: FieldSummary
     achieved_sd_of_se: float
 
+    def as_dict(self) -> dict:
+        """``dataclasses.asdict`` of the summary, without its deep copy."""
+        return {name: vars(value).copy() if isinstance(value, FieldSummary) else value
+                for name, value in vars(self).items()}
+
 
 def summarize_two_stage(runs: TwoStageRuns) -> TwoStageSummary:
-    """Componentwise mean/sd/min/max of the final-stage results."""
+    """Componentwise mean/sd/min/max of the final-stage results.
+
+    The six columns are summarised as one 2-d block, one row each, and each
+    row's figures are ``FieldSummary.of`` of its column, bit for bit: a
+    row's sums run along it as a column's do, and a constant row gives
+    exactly its value and SD 0, as ``_mean_sd`` does."""
     if len(runs.final_se) < 2:
         raise ValueError(f"insufficient replications: need at least 2, got {len(runs.final_se)}")
-    final_se = FieldSummary.of(runs.final_se)
-    return TwoStageSummary(
-        m_required=FieldSummary.of(np.array([r.m_required for r in runs.recommendations])),
-        final_m=FieldSummary.of(runs.final_m),
-        final_estimate=FieldSummary.of(runs.final_theta),
-        final_se=final_se,
-        final_df_hat=FieldSummary.of(runs.final_df_hat),
-        final_gamma_hat=FieldSummary.of(runs.final_gamma_hat),
-        achieved_sd_of_se=final_se.sd,
-    )
+    block = np.stack((runs.recommendations.m_required, runs.final_m, runs.final_theta,
+                      runs.final_se, runs.final_df_hat, runs.final_gamma_hat), dtype=np.float64)
+    first = block[:, 0]
+    constant = (block == first[:, None]).all(axis=1)
+    mean = np.where(constant, first, np.mean(block, axis=1))
+    sd = np.where(constant, 0.0, np.std(block, axis=1, ddof=1))
+    rows = zip(mean.tolist(), sd.tolist(), block.min(axis=1).tolist(), block.max(axis=1).tolist())
+    m_required, final_m, final_estimate, final_se, final_df_hat, final_gamma_hat = (
+        FieldSummary(*row) for row in rows)
+    return TwoStageSummary(m_required, final_m, final_estimate, final_se, final_df_hat,
+                           final_gamma_hat, achieved_sd_of_se=final_se.sd)
 
 
 def pool_replicates(

@@ -19,7 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .pooling import PooledAnalysis
+import numpy as np
+
+from .fmi import gamma_upper_bounds
+from .pooling import PooledAnalysis, PooledReplicates
 
 TARGET_KINDS = ("sd_of_se", "cv_of_se", "cv_of_variance", "df")
 
@@ -91,12 +94,16 @@ def _capped_count(raw: float, m_max: int) -> tuple[int, float]:
     uncapped is an exact int up to 2**53 and the float it already is above
     that, so it prints as a number that a 64-bit JSON reader accepts.  The
     package's only cap on an imputation count; it never warns."""
-    if m_max < 2:
-        raise ValueError(f"domain error: m_max must be >= 2, got {m_max!r}")
+    _check_m_max(m_max)
     if math.isinf(raw):
         return m_max, math.inf
     m = math.ceil(raw - _CEIL_SLACK * max(1.0, abs(raw)))
     return (m_max if m > m_max else max(m, 2)), (float(m) if m > 2**53 else max(m, 2))
+
+
+def _check_m_max(m_max: int) -> None:
+    if m_max < 2:
+        raise ValueError(f"domain error: m_max must be >= 2, got {m_max!r}")
 
 
 def _check_unit_interval(name: str, value: float) -> None:
@@ -197,14 +204,7 @@ def recommend(
     compares the pilot's m with the capped m_required.  m_max must be at
     least 2.
     """
-    return _recommend(pilot.gamma_interval.upper, pilot.se, pilot.m, target, m_max)
-
-
-def _recommend(
-    gamma_used: float, se: float, pilot_m: int, target: ReplicabilityTarget, m_max: int
-) -> Recommendation:
-    """``recommend`` from the fields of a pilot that it reads: the upper
-    bound of its gamma interval, its pooled SE and its m."""
+    gamma_used, se, pilot_m = pilot.gamma_interval.upper, pilot.se, pilot.m
     cv_target = target.cv_of_se(se)
     # A cv target of 1 or more is looser than any useful goal; the floor of 2
     # applies.  One that underflowed to 0 is stricter than any m can meet.
@@ -221,4 +221,64 @@ def _recommend(
         pilot_m=pilot_m,
         m_uncapped=m_uncapped,
         capped=m_required != m_uncapped,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class RecommendationColumns:
+    """Recommendations for many pilots of one m, by column: entry r of
+    each is pilot r's field of ``Recommendation``.  df_implied, pilot_m and
+    m_uncapped, which no reader of the columns uses, are left out."""
+
+    gamma_used: np.ndarray
+    cv_target: np.ndarray
+    m_required: np.ndarray
+    pilot_sufficient: np.ndarray
+    capped: np.ndarray
+
+
+def recommend_replicates(
+    pilots: PooledReplicates,
+    target: ReplicabilityTarget,
+    level: float = 0.95,
+    m_max: int = DEFAULT_M_MAX,
+) -> RecommendationColumns:
+    """``recommend`` of every pilot in pilots, pooled at level, by column.
+
+    Entry r holds, bit for bit, the fields of ``recommend`` of
+    ``pool_arrays`` of pilot r's imputations at level.  The upper bounds
+    come from ``fmi.gamma_upper_bounds``; the rule, its ceiling and the
+    m_max cap run on arrays.  A cap above 2**53, which a float cannot
+    hold, counts row by row through ``_capped_count`` instead; then a count
+    past int64 leaves m_required an array of Python ints.
+    """
+    _check_m_max(m_max)
+    gamma_used = gamma_upper_bounds(pilots.gamma_hat, pilots.m, level)
+    # A pooled SE is positive and finite (pool_rows rejects any other), as
+    # an sd_of_se goal needs; no other goal reads it.
+    cv_target = (target.value / pilots.se if target.kind == "sd_of_se"
+                 else np.full(len(pilots.se), target.cv_of_se(math.nan)))
+    # recommend's three cases.  gamma_used, an inverse logit of at most
+    # logit(1 - GAMMA_EPS) + 8.3, lies in (0, 1), as _se_cv_rule requires.
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = gamma_used / cv_target
+        raw = np.where(cv_target >= 1.0, 2.0,
+                       np.where(cv_target == 0.0, math.inf, 1.0 + 0.5 * ratio * ratio))
+    if m_max > 2**53:
+        counts = [_capped_count(r, m_max) for r in raw.tolist()]
+        m_required = np.array([count for count, _ in counts])
+        capped = np.array([count != uncapped for count, uncapped in counts])
+    else:
+        # _capped_count's ceiling; a count that overflowed to inf stays inf
+        with np.errstate(invalid="ignore"):
+            m = np.where(np.isinf(raw), math.inf,
+                         np.ceil(raw - _CEIL_SLACK * np.maximum(1.0, np.abs(raw))))
+        capped = m > m_max
+        m_required = np.where(capped, m_max, np.maximum(m, 2.0)).astype(np.int64)
+    return RecommendationColumns(
+        gamma_used=gamma_used,
+        cv_target=cv_target,
+        m_required=m_required,
+        pilot_sufficient=np.asarray(m_required <= pilots.m, dtype=bool),
+        capped=capped,
     )

@@ -145,8 +145,9 @@ class PooledReplicates:
 
     Entry i of every array is pooling i's field of PooledAnalysis; the
     intervals, which no measurement uses, are left out.  ``pool_rows`` of
-    one 1-d pooling gives Python floats instead of arrays.  Each pooling
-    sums its imputations in the order they were drawn.
+    one 1-d pooling gives Python floats instead of arrays, and
+    ``pool_segments``, whose poolings differ in size, gives m as an array
+    too.  Each pooling sums its imputations in the order they were drawn.
     """
 
     m: int
@@ -181,12 +182,49 @@ def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
     _check_m(m)
 
     # np.mean and np.var(ddof=1) as numpy computes them, sharing one sum.
-    # Finite inputs near the float64 limit can overflow; that is reported below.
+    # Finite inputs near the float64 limit can overflow; _rubin reports that.
     with np.errstate(over="ignore", invalid="ignore"):
         theta = np.add.reduce(estimates, axis=-1) / m
         dev = estimates - theta[..., None]
-        b = np.add.reduce(dev * dev, axis=-1) / (m - 1)
+        ssd = np.add.reduce(dev * dev, axis=-1)
         w_bar = np.add.reduce(withins, axis=-1) / m
+    return PooledReplicates(m, *_rubin(m, theta, w_bar, ssd))
+
+
+def pool_segments(estimates: np.ndarray, withins: np.ndarray, ms: np.ndarray) -> PooledReplicates:
+    """Rubin's rules over consecutive segments of one 1-d run of imputations:
+    pooling i takes the next ms[i] entries, and ``m`` is the array ms.
+
+    Pooling i is, bit for bit, ``pool_rows`` of its segment alone: each of
+    its three sums is one ``np.add.reduce`` of a contiguous slice, as there.
+    (``np.add.reduceat`` would take all of them at once, but it sums each
+    segment in sequence, not pairwise, so it rounds differently.)  The
+    entries are vouched for as in ``pool_rows``, and the first unusable
+    segment raises what pooling it alone would.
+    """
+    ms = np.asarray(ms, dtype=np.int64)
+    _check_m(int(ms.min()))
+    ends = np.cumsum(ms).tolist()
+    bounds = list(zip([0, *ends[:-1]], ends))
+    ew = np.stack((estimates, withins))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.array([np.add.reduce(ew[:, s:e], axis=1) for s, e in bounds]).T
+        theta, w_bar = sums / ms
+        dev = estimates - np.repeat(theta, ms)
+        dev *= dev
+        ssd = np.array([np.add.reduce(dev[s:e]) for s, e in bounds])
+    return PooledReplicates(ms, *_rubin(ms, theta, w_bar, ssd))
+
+
+def _rubin(m, theta: np.ndarray, w_bar: np.ndarray, ssd: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rubin's rules after the sums, for poolings of m imputations (one int,
+    or an array with each pooling's m): theta, w_bar, b, v_total, se,
+    gamma_hat, gamma_raw and df_hat, from each pooling's mean estimate,
+    mean within variance and sum of squared deviations ssd.  Among many
+    poolings, the first with an unusable total variance raises what pooling
+    it alone would."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = ssd / (m - 1)
         v_total = w_bar + (1.0 + 1.0 / m) * b
     usable = np.isfinite(theta) & np.isfinite(v_total) & (v_total > 0.0)
     if not usable.all():
@@ -196,17 +234,8 @@ def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
     gamma_raw = (1.0 + 1.0 / m) * b / v_total
     # clamp_gamma's clamp; with withins >= 0, gamma_raw is already in [0, 1]
     gamma_hat = np.minimum(np.maximum(gamma_raw, GAMMA_EPS), 1.0 - GAMMA_EPS)
-    return PooledReplicates(
-        m=m,
-        theta=theta,
-        w_bar=w_bar,
-        b=b,
-        v_total=v_total,
-        se=np.sqrt(v_total),
-        gamma_hat=gamma_hat,
-        gamma_raw=gamma_raw,
-        df_hat=(m - 1) / (gamma_hat * gamma_hat),
-    )
+    return (theta, w_bar, b, v_total, np.sqrt(v_total), gamma_hat, gamma_raw,
+            (m - 1) / (gamma_hat * gamma_hat))
 
 
 def _pool_row(estimates: np.ndarray, withins: np.ndarray) -> tuple[float, ...]:

@@ -455,6 +455,17 @@ class TestSimulate:
         ]), "insufficient replications: need at least 2, got 1")
         assert draws == []
 
+    def test_two_stage_max_m_below_two_exits_before_drawing(self, capsys, monkeypatch):
+        """A cap below 2 is refused with the config, before any pilot is drawn."""
+        draws = []
+        draw = montecarlo.impute_m
+        monkeypatch.setattr(montecarlo, "impute_m", lambda *a: draws.append(a[1]) or draw(*a))
+        assert_one_error_line(run_cli(capsys, [
+            "simulate", "--experiment", "two-stage", "--reps", "50", "--n", "200",
+            "--target-cv", "0.05", "--max-m", "1",
+        ]), "domain error: m_max must be >= 2, got 1")
+        assert draws == []
+
     def test_two_stage_needs_target(self, capsys):
         assert_usage_error(capsys, ["two-stage", "--reps", "4"],
                            "one of the arguments --target-sd --target-cv --target-df is required")

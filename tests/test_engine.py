@@ -300,8 +300,7 @@ def test_block_two_stage_matches_per_replication_two_stage_in_distribution(pilot
     for name, block_column, single_column in [
         ("final_se", block.final_se, [final.se for final in finals]),
         ("final_gamma_hat", block.final_gamma_hat, [final.gamma_hat for final in finals]),
-        ("m_required", [rec.m_required for rec in block.recommendations],
-         [rec.m_required for rec in recs]),
+        ("m_required", block.recommendations.m_required, [rec.m_required for rec in recs]),
     ]:
         p_value = stats.ks_2samp(block_column, single_column).pvalue
         assert p_value > ALPHA, f"{name}: KS p = {p_value:.2g}"
@@ -341,8 +340,8 @@ def test_engine_called_once_per_pooling_with_its_m(monkeypatch):
         runs = run_two_stage_experiment(config)
         sizes = [size for size, _ in calls]
         assert sizes[:len(pilot_sizes)] == pilot_sizes
-        recs = runs.recommendations
-        finals = [m for m, rec in zip(runs.final_m.tolist(), recs) if not rec.pilot_sufficient]
+        pilot_sufficient = runs.recommendations.pilot_sufficient
+        finals = runs.final_m[~pilot_sufficient].tolist()
         assert sum(sizes) == reps * pilot_m + sum(finals)
         assert len({id(rng) for _, rng in calls}) == len(calls)
         # each chunk is a run of whole replications' finals, in rep order
@@ -352,7 +351,7 @@ def test_engine_called_once_per_pooling_with_its_m(monkeypatch):
                 chunk.append(finals.pop(0))
             assert sum(chunk) == size and size <= max(BLOCK_IMPUTATIONS, max(chunk))
         assert finals == []
-        assert sum(rec.pilot_sufficient for rec in recs) == sufficient
+        assert pilot_sufficient.sum() == sufficient
         assert len(sizes) == len(pilot_sizes) + final_calls
         # only the third case draws a chunk above 2^16
         assert (max(sizes) > BLOCK_IMPUTATIONS) == (m_max > BLOCK_IMPUTATIONS)

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 import pytest
 
 import miplan.montecarlo as montecarlo
+import miplan.planning as planning
 import miplan.pooling as pooling
 from miplan import (
     ExperimentConfig,
     FieldSummary,
+    RecommendationColumns,
     ReplicabilityTarget,
     TwoStageRuns,
     calibrate_missing_fraction,
@@ -22,6 +24,7 @@ from miplan import (
     pool_fixed_dataset,
     pool_replicates,
     recommend,
+    recommend_replicates,
     required_m,
     run_two_stage,
     run_two_stage_experiment,
@@ -29,7 +32,7 @@ from miplan import (
     stream,
     summarize_two_stage,
 )
-from miplan.fmi import gamma_ci
+import miplan.fmi as fmi
 from miplan.imputer import draw_mean_variates, mean_analyses
 from miplan.montecarlo import (
     BLOCK_IMPUTATIONS,
@@ -131,6 +134,8 @@ class TestConfigValidation:
             small_config(reps=0)
         with pytest.raises(ValueError, match="domain error"):
             small_config(n=6, missing_fraction=0.9)
+        with pytest.raises(ValueError, match="domain error: m_max must be >= 2, got 1"):
+            small_config(m_max=1)
         with pytest.raises(ValueError, match="domain error"):
             small_config(seed=-1)
 
@@ -142,7 +147,9 @@ def bits(column) -> bytes:
 def assert_same_runs(a: TwoStageRuns, b: TwoStageRuns) -> None:
     for f in fields(PooledReplicates):
         assert bits(getattr(a.pilots, f.name)) == bits(getattr(b.pilots, f.name)), f.name
-    assert a.recommendations == b.recommendations
+    for f in fields(RecommendationColumns):
+        column_a, column_b = getattr(a.recommendations, f.name), getattr(b.recommendations, f.name)
+        assert column_a.dtype == column_b.dtype and bits(column_a) == bits(column_b), f.name
     for name in ("final_m", "final_theta", "final_se", "final_gamma_hat", "final_df_hat"):
         assert bits(getattr(a, name)) == bits(getattr(b, name)), name
 
@@ -170,14 +177,14 @@ class TestTwoStage:
         assert final is pilot
         assert final.m == config.pilot_m
         runs = run_two_stage_experiment(config)
-        assert all(rec.pilot_sufficient for rec in runs.recommendations)
+        assert runs.recommendations.pilot_sufficient.all()
         for r in range(config.reps):
             assert_final_is_pilot(runs, r)
 
     def test_final_m_invariant(self):
         config = small_config(reps=6, target=ReplicabilityTarget("cv_of_se", 0.12))
         runs = run_two_stage_experiment(config)
-        expected = [max(config.pilot_m, rec.m_required) for rec in runs.recommendations]
+        expected = [max(config.pilot_m, m) for m in runs.recommendations.m_required.tolist()]
         assert runs.final_m.tolist() == expected
 
     def test_experiment_reproducible(self):
@@ -197,14 +204,16 @@ class TestTwoStage:
         pilots = pool_replicates(data, config.pilot_m, config.reps, config.seed)
         for f in fields(PooledReplicates):
             assert repr(getattr(runs.pilots, f.name)) == repr(getattr(pilots, f.name)), f.name
-        recs = runs.recommendations
         # the pilot rows by hand: one block, replication r in row r
         variates = draw_mean_variates(data, config.reps * config.pilot_m,
                                       stream(config.seed, TAG_REP, 0, config.pilot_m))
         rows = mean_analyses(data.mean_stats,
                              *(v.reshape(config.reps, config.pilot_m) for v in variates))
-        assert recs == [recommend(pool_arrays(e, w, config.level), config.target, config.m_max)
-                        for e, w in zip(*rows)]
+        recs = [recommend(pool_arrays(e, w, config.level), config.target, config.m_max)
+                for e, w in zip(*rows)]
+        for f in fields(RecommendationColumns):
+            column = getattr(runs.recommendations, f.name).tolist()
+            assert [repr(v) for v in column] == [repr(getattr(rec, f.name)) for rec in recs], f.name
         assert any(rec.pilot_sufficient for rec in recs) == sufficient
         short = [r for r, rec in enumerate(recs) if not rec.pilot_sufficient]
         assert short
@@ -231,10 +240,20 @@ class TestTwoStage:
                 assert_final_is_pilot(runs, r)
 
     def test_one_gamma_interval_per_pilot_and_none_per_final(self, monkeypatch):
-        """Each pilot's recommendation needs its gamma interval; no reader of a
-        final uses one, so a final pooling builds none, and no reader of either
-        uses a theta interval, so none is built."""
-        calls, t_calls = [], []
+        """Each pilot's recommendation reads the upper bound of its gamma
+        interval, so each pilot gets one inverse logit, and no lower bound;
+        no reader of a final uses an interval, so a final pooling builds
+        none, and no reader of either uses a theta interval, so none is
+        built: nothing calls gamma_ci or t_quantile.  Nothing is planned or
+        pooled one replication at a time either: the pilots' one block is
+        the only pool_rows call, and no Recommendation is built."""
+        bounds, calls, t_calls, pooled, recs = [], [], [], [], []
+        inv_logit, gamma_ci = fmi.inv_logit, fmi.gamma_ci
+        pool_rows, recommendation = montecarlo.pool_rows, planning.Recommendation
+
+        def counting_bound(x):
+            bounds.append(x)
+            return inv_logit(x)
 
         def counting(gamma_hat, m, level=0.95):
             calls.append(m)
@@ -244,15 +263,29 @@ class TestTwoStage:
             t_calls.append(df)
             return t_quantile(p, df)
 
-        # the pilots look gamma_ci up in montecarlo, a pool_arrays in pooling
-        monkeypatch.setattr(montecarlo, "gamma_ci", counting)
+        monkeypatch.setattr(fmi, "inv_logit", counting_bound)
+        monkeypatch.setattr(fmi, "gamma_ci", counting)
         monkeypatch.setattr(pooling, "gamma_ci", counting)
         monkeypatch.setattr(pooling, "t_quantile", counting_t)
+        monkeypatch.setattr(montecarlo, "pool_rows", lambda *a: pooled.append(a) or pool_rows(*a))
+        monkeypatch.setattr(planning, "Recommendation",
+                            lambda **k: recs.append(k) or recommendation(**k))
         config = small_config(target=ReplicabilityTarget("cv_of_se", 0.05), reps=12)
         runs = run_two_stage_experiment(config)
-        assert not any(rec.pilot_sufficient for rec in runs.recommendations)
-        assert calls == [config.pilot_m] * config.reps
+        assert not runs.recommendations.pilot_sufficient.any()
+        assert len(bounds) == config.reps
+        assert calls == []
         assert t_calls == []
+        assert len(pooled) == 1 and pooled[0][0].shape == (config.reps, config.pilot_m)
+        assert recs == []
+
+    def test_max_m_below_two_is_refused_before_any_draw(self, monkeypatch):
+        draws = []
+        draw = montecarlo.impute_m
+        monkeypatch.setattr(montecarlo, "impute_m", lambda *a: draws.append(a[1]) or draw(*a))
+        with pytest.raises(ValueError, match=r"^domain error: m_max must be >= 2, got 1$"):
+            run_two_stage_experiment(small_config(m_max=1))
+        assert draws == []
 
 
 def pilot_runs(*ses: float, gamma: float = 0.3) -> TwoStageRuns:
@@ -262,11 +295,26 @@ def pilot_runs(*ses: float, gamma: float = 0.3) -> TwoStageRuns:
     estimates = np.array([[r.estimate for r in row] for row in rows])
     withins = np.array([[r.within_variance for r in row] for row in rows])
     pilots = pool_rows(estimates, withins)
-    recs = [recommend(pool_arrays(e, w, 0.95), ReplicabilityTarget("cv_of_se", 0.5))
-            for e, w in zip(estimates, withins)]
-    assert all(rec.pilot_sufficient for rec in recs)
+    recs = recommend_replicates(pilots, ReplicabilityTarget("cv_of_se", 0.5))
+    assert recs.pilot_sufficient.all()
     return TwoStageRuns(pilots, recs, np.full(len(ses), pilots.m), pilots.theta,
                         pilots.se, pilots.gamma_hat, pilots.df_hat)
+
+
+SUMMARY_COLUMNS = {  # TwoStageSummary's field: the column of TwoStageRuns it summarises
+    "m_required": "m_required",
+    "final_m": "final_m",
+    "final_estimate": "final_theta",
+    "final_se": "final_se",
+    "final_df_hat": "final_df_hat",
+    "final_gamma_hat": "final_gamma_hat",
+}
+
+
+def column_runs(**columns: np.ndarray) -> TwoStageRuns:
+    """Two-stage runs that hold the given summarised columns; the summary reads no other."""
+    recs = RecommendationColumns(*([None] * 2), columns.pop("m_required"), *([None] * 2))
+    return TwoStageRuns(None, recs, **columns)
 
 
 class TestSummaries:
@@ -284,6 +332,30 @@ class TestSummaries:
     def test_needs_two_records(self):
         with pytest.raises(ValueError, match="insufficient replications"):
             summarize_two_stage(pilot_runs(0.02))
+
+    @pytest.mark.parametrize("reps", [2, 7, 20, 9000, 20000])
+    def test_block_summary_is_field_summary_of_each_column(self, reps):
+        """Each row of the 2-d block summarises, bit for bit, as FieldSummary.of
+        of its column alone: with constant columns, integer columns, and
+        more replications than numpy's 8192-element buffer."""
+        rng = np.random.default_rng(reps)
+        m_required = rng.integers(2, 5000, reps)
+        runs = column_runs(
+            m_required=m_required,
+            final_m=np.full(reps, 40),
+            final_theta=16.642 + 0.01 * rng.standard_normal(reps),
+            final_se=np.full(reps, 0.20533040718753454),
+            final_df_hat=rng.lognormal(8.0, 2.0, reps),
+            final_gamma_hat=rng.random(reps),
+        )
+        summary = summarize_two_stage(runs)
+        for name, column in SUMMARY_COLUMNS.items():
+            source = runs.recommendations if name == "m_required" else runs
+            expected = FieldSummary.of(getattr(source, column))
+            assert repr(astuple(getattr(summary, name))) == repr(astuple(expected)), name
+        assert repr(summary.achieved_sd_of_se) == repr(summary.final_se.sd)
+        assert summary.as_dict() == asdict(summary)
+        assert list(summary.as_dict()) == [f.name for f in fields(summary)]
 
     def test_constant_column_is_exact(self):
         # chosen because numpy's mean of seven copies of this value came out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from miplan import (
     m_for_se_cv,
     pool,
     recommend,
+    recommend_replicates,
 )
-from miplan.planning import _capped_count
+from miplan.planning import RecommendationColumns, _capped_count
+from miplan.pooling import pool_arrays, pool_rows
 from conftest import make_pilot_results
 
 
@@ -275,6 +278,74 @@ class TestRecommend:
         pilot = pool(rows, level)
         rec = recommend(pilot, ReplicabilityTarget("cv_of_se", 0.05))
         assert repr(rec.gamma_used) == repr(gamma_ci(pilot.gamma_hat, pilot.m, level).upper)
+
+
+def pilot_block(reps: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """reps pilots of m imputations, their gamma_hat spread over (0, 1),
+    at SEs from about 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (reps, 1))
+    spread = rng.uniform(0.0, 3.0, (reps, 1))
+    estimates = 16.642 * scale + spread * scale * rng.standard_normal((reps, m))
+    withins = scale * scale * rng.random((reps, m))
+    return estimates, withins
+
+
+# Goals that cover every branch of the rule: each kind; sd goals whose CV is
+# 1 or more (the floor of 2) and whose CV underflows to 0 (inf, capped); and
+# a df goal whose count overflows to inf.
+COLUMN_TARGETS = [
+    ("sd_of_se", 0.001), ("sd_of_se", 1e4), ("sd_of_se", 5e-324),
+    ("cv_of_se", 0.05), ("cv_of_se", 0.9), ("cv_of_variance", 0.1),
+    ("df", 200.0), ("df", 1.0), ("df", 9e307),
+]
+
+
+class TestRecommendationColumns:
+    @pytest.mark.parametrize("kind, value", COLUMN_TARGETS)
+    def test_columns_are_recommend_of_each_pilot(self, kind, value):
+        """Entry r of every column is, bit for bit, recommend's field for pilot
+        r pooled at the same level, at several levels and pilot sizes, and
+        with caps from 2 to past int64; a cap past 2**53 counts row by row."""
+        target = ReplicabilityTarget(kind, value)
+        for m, level, seed in [(2, 0.5, 1), (5, 0.95, 2), (20, 0.9, 3), (5, 0.999, 4)]:
+            estimates, withins = pilot_block(40, m, seed)
+            pilots = pool_rows(estimates, withins)
+            for m_max in (2, 40, 10_000, 2**53, 2**53 + 1, 10**30):
+                columns = recommend_replicates(pilots, target, level, m_max)
+                recs = [recommend(pool_arrays(e, w, level), target, m_max)
+                        for e, w in zip(estimates, withins)]
+                for f in fields(RecommendationColumns):
+                    got = [repr(v) for v in getattr(columns, f.name).tolist()]
+                    assert got == [repr(getattr(rec, f.name)) for rec in recs], (m, level, m_max, f.name)
+
+    def test_every_branch_is_reached(self):
+        estimates, withins = pilot_block(40, 5, 2)
+        pilots = pool_rows(estimates, withins)
+        counts = {kind_value: recommend_replicates(pilots, ReplicabilityTarget(*kind_value))
+                  for kind_value in COLUMN_TARGETS}
+        assert (counts[("sd_of_se", 1e4)].m_required == 2).all()
+        assert counts[("sd_of_se", 5e-324)].capped.all()
+        assert counts[("df", 9e307)].capped.all()
+        sd = counts[("sd_of_se", 0.001)]
+        assert sd.capped.any() and sd.pilot_sufficient.any() and not sd.capped.all()
+
+    def test_counts_past_int64_are_python_ints(self):
+        estimates, withins = pilot_block(3, 5, 2)
+        columns = recommend_replicates(pool_rows(estimates, withins),
+                                       ReplicabilityTarget("df", 9e307), m_max=10**30)
+        assert columns.m_required.tolist() == [10**30] * 3
+        assert columns.pilot_sufficient.dtype == bool and not columns.pilot_sufficient.any()
+
+    def test_cap_below_two_is_refused_as_recommend_refuses_it(self):
+        estimates, withins = pilot_block(3, 5, 2)
+        target = ReplicabilityTarget("cv_of_se", 0.05)
+        for m_max in (1, -5):
+            with pytest.raises(ValueError) as scalar:
+                recommend(pool_arrays(estimates[0], withins[0]), target, m_max)
+            with pytest.raises(ValueError) as columns:
+                recommend_replicates(pool_rows(estimates, withins), target, m_max=m_max)
+            assert str(columns.value) == str(scalar.value)
 
 
 class TestCurves:

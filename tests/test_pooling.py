@@ -17,7 +17,7 @@ import miplan.pooling as pooling
 from miplan import GAMMA_EPS, ImputationResult, gen_incomplete, pool, read_results_csv, stream
 from miplan.imputer import draw_mean_variates, mean_analyses
 from miplan.montecarlo import TAG_DATA, TAG_REP
-from miplan.pooling import ImputationResults, pool_arrays, pool_rows
+from miplan.pooling import ImputationResults, pool_arrays, pool_rows, pool_segments
 
 import reference
 
@@ -241,6 +241,73 @@ def test_pool_rows_is_pool_arrays_row_by_row(data, reps, m, bad):
         assert repr(row.theta) == repr(float(np.mean(estimates[r])))
         assert repr(row.b) == repr(float(np.var(estimates[r], ddof=1)))
         assert repr(row.w_bar) == repr(float(np.mean(withins[r])))
+
+
+def make_bad(estimates, withins, kind):
+    """Make a row or segment bad in place: all zero, so its total variance is
+    zero, and for an overflow, two estimates whose sum overflows too."""
+    estimates[:], withins[:] = 0.0, 0.0
+    if kind == "overflow":
+        estimates[:2] = 1.7e308
+
+
+def assert_segments_pool_as_alone(estimates, withins, ms):
+    """pool_segments is, field by field and bit for bit, pool_rows of each
+    segment alone; or, when a segment is bad, the first raises what pooling
+    it alone raises."""
+    ends = np.cumsum(ms)
+    segments = [(e - m, e) for e, m in zip(ends.tolist(), ms)]
+    errors = []
+    for s, e in segments:
+        try:
+            pool_rows(estimates[s:e], withins[s:e])
+        except ValueError as exc:
+            errors.append(str(exc))
+    if errors:
+        with pytest.raises(ValueError) as exc:
+            pool_segments(estimates, withins, ms)
+        assert str(exc.value) == errors[0]
+        return
+    pooled = pool_segments(estimates, withins, ms)
+    assert pooled.m.tolist() == list(ms)
+    for i, (s, e) in enumerate(segments):
+        alone = pool_rows(estimates[s:e], withins[s:e])
+        for field in KERNEL_FIELDS:
+            assert repr(getattr(pooled, field)[i].item()) == repr(getattr(alone, field)), (i, field)
+
+
+@given(
+    ms=st.lists(st.integers(2, 300), min_size=1, max_size=8),
+    scale=st.floats(1e-5, 1e5),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.lists(st.tuples(st.sampled_from(sorted(BAD_ROW_ERRORS)), st.integers(0, 7)),
+                 max_size=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_pool_segments_is_pool_rows_segment_by_segment(ms, scale, seed, bad):
+    """Segments of 2 to 300 imputations, so that many cross numpy's pairwise
+    block of 128, at scales from 1e-5 to 1e5 about an offset, so that the
+    deviations cancel."""
+    rng = np.random.default_rng(seed)
+    estimates = scale * (rng.standard_normal() * 10.0 + rng.standard_normal(sum(ms)))
+    withins = scale * scale * rng.random(sum(ms))
+    ends = np.cumsum(ms).tolist()
+    for kind, i in bad:
+        i %= len(ms)
+        make_bad(estimates[ends[i] - ms[i]:ends[i]], withins[ends[i] - ms[i]:ends[i]], kind)
+    assert_segments_pool_as_alone(estimates, withins, ms)
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ROW_ERRORS))
+def test_first_bad_segment_raises_what_it_raises_alone(kind):
+    estimates, withins = engine_block(1, 700)
+    estimates, withins = estimates[0], withins[0]
+    ms = [5, 200, 3, 300, 192]
+    make_bad(estimates[208:508], withins[208:508], kind)  # the fourth segment
+    with pytest.raises(ValueError) as exc:
+        pool_segments(estimates, withins, ms)
+    assert str(exc.value) == BAD_ROW_ERRORS[kind]
+    assert_segments_pool_as_alone(estimates, withins, ms)
 
 
 def engine_block(reps, m, seed=1515):
