@@ -50,14 +50,12 @@ from .planning import (
     CurveRow,
     DEFAULT_M_MAX,
     Recommendation,
-    RecommendationColumns,
     ReplicabilityTarget,
     curve_data,
     df_cv_curve,
     df_for_cv,
     m_for_se_cv,
     recommend,
-    recommend_replicates,
 )
 from .pooling import (
     ImputationResult,
@@ -108,14 +106,12 @@ __all__ = [
     "CurveRow",
     "DEFAULT_M_MAX",
     "Recommendation",
-    "RecommendationColumns",
     "ReplicabilityTarget",
     "curve_data",
     "df_cv_curve",
     "df_for_cv",
     "m_for_se_cv",
     "recommend",
-    "recommend_replicates",
     "ImputationResult",
     "ImputationResults",
     "PooledAnalysis",

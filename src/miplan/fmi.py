@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .quantiles import normal_quantile
 
 # Estimates of exactly 0 or 1 are clamped this far inside (0, 1) so the
@@ -94,7 +92,7 @@ def gamma_ci(gamma_hat: float, m: int, level: float = 0.95) -> GammaInterval:
     )
 
 
-def gamma_upper_bounds(gamma_hats: np.ndarray, m: int, level: float = 0.95) -> np.ndarray:
+def gamma_upper_bounds(gamma_hats: Sequence[float], m: int, level: float = 0.95) -> list[float]:
     """``gamma_ci(g, m, level).upper`` for each g of gamma_hats, bit for bit,
     with one quantile for them all.
 
@@ -102,7 +100,7 @@ def gamma_upper_bounds(gamma_hats: np.ndarray, m: int, level: float = 0.95) -> n
     exp and log differ from math's in the last bit for a few percent of
     values, so an array transform would move the bounds by ulps."""
     half = _half_width(m, level)
-    return np.array([inv_logit(logit(clamp_gamma(g)) + half) for g in gamma_hats.tolist()])
+    return [inv_logit(logit(clamp_gamma(g)) + half) for g in gamma_hats]
 
 
 def _half_width(m: int, level: float) -> float:

@@ -221,32 +221,23 @@ def run_two_stage_experiment(
     recs = recommend_replicates(pilots, config.target, config.level, config.m_max)
     final_m = np.full(config.reps, config.pilot_m)
     finals = {name: getattr(pilots, name).copy() for name in ("theta", "se", "gamma_hat", "df_hat")}
-    short = np.flatnonzero(~recs.pilot_sufficient)
-    chunks: list[tuple[list[int], list[int]]] = []  # (replications, their m_required)
+    m_required = recs.m_required.tolist()
+    chunks: list[list[int]] = []
     size = math.inf  # the first short replication opens the first chunk
-    for r, m in zip(short.tolist(), recs.m_required[short].tolist()):
-        if size + m > BLOCK_IMPUTATIONS:
-            chunks.append(([], []))
+    for r in np.flatnonzero(~recs.pilot_sufficient).tolist():
+        if size + m_required[r] > BLOCK_IMPUTATIONS:
+            chunks.append([])
             size = 0
-        chunks[-1][0].append(r)
-        chunks[-1][1].append(m)
-        size += m
-    for c, (chunk, ms) in enumerate(chunks):
+        chunks[-1].append(r)
+        size += m_required[r]
+    for c, chunk in enumerate(chunks):
+        ms = [m_required[r] for r in chunk]
         variates = impute_m(data, sum(ms), stream(config.seed, TAG_FINAL, c))
         final = pool_segments(*mean_analyses(data.mean_stats, *variates), ms)
         final_m[chunk] = ms  # after the draw, which rejects an m past int64
         for name, column in finals.items():
             column[chunk] = getattr(final, name)
     return TwoStageRuns(pilots, recs, final_m, **{f"final_{k}": v for k, v in finals.items()})
-
-
-def _mean_sd(values: np.ndarray) -> tuple[float, float]:
-    """Mean and SD (ddof 1) of a column.  A constant column gives exactly
-    its value and SD 0; numpy's sums can round a few ulps off both."""
-    first = values[0]
-    if (values == first).all():
-        return float(first), 0.0
-    return float(np.mean(values)), float(np.std(values, ddof=1))
 
 
 @dataclass(frozen=True)
@@ -258,8 +249,28 @@ class FieldSummary:
 
     @classmethod
     def of(cls, values: np.ndarray) -> "FieldSummary":
-        mean, sd = _mean_sd(values)
-        return cls(mean=mean, sd=sd, min=float(np.min(values)), max=float(np.max(values)))
+        return cls.each(values)[0]
+
+    @classmethod
+    def each(cls, *columns: np.ndarray) -> list["FieldSummary"]:
+        """Mean, SD (ddof 1), min and max of each column, taken along the
+        rows of one 2-d float block: np.mean and np.std as numpy computes
+        them, sharing one sum.  A row's sums run along it as a lone
+        column's do, so a column's figures do not depend on the others.  A
+        constant column gives exactly its value and SD 0; numpy's sums can
+        round a few ulps off both, and one value or a run of infs has no
+        SD to compute."""
+        block = np.stack(columns, dtype=np.float64)
+        n = block.shape[1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean = np.add.reduce(block, axis=1) / n
+            dev = block - mean[:, None]
+            sd = np.sqrt(np.add.reduce(dev * dev, axis=1) / (n - 1))
+        lo, hi = block.min(axis=1), block.max(axis=1)
+        constant = lo == hi
+        mean[constant] = block[constant, 0]
+        sd[constant] = 0.0
+        return list(map(cls, mean.tolist(), sd.tolist(), lo.tolist(), hi.tolist()))
 
 
 @dataclass(frozen=True)
@@ -281,23 +292,13 @@ class TwoStageSummary:
 
 
 def summarize_two_stage(runs: TwoStageRuns) -> TwoStageSummary:
-    """Componentwise mean/sd/min/max of the final-stage results.
-
-    The six columns are summarised as one 2-d block, one row each, and each
-    row's figures are ``FieldSummary.of`` of its column, bit for bit: a
-    row's sums run along it as a column's do, and a constant row gives
-    exactly its value and SD 0, as ``_mean_sd`` does."""
+    """Componentwise mean/sd/min/max of the final-stage results, in one
+    ``FieldSummary.each`` call."""
     if len(runs.final_se) < 2:
         raise ValueError(f"insufficient replications: need at least 2, got {len(runs.final_se)}")
-    block = np.stack((runs.recommendations.m_required, runs.final_m, runs.final_theta,
-                      runs.final_se, runs.final_df_hat, runs.final_gamma_hat), dtype=np.float64)
-    first = block[:, 0]
-    constant = (block == first[:, None]).all(axis=1)
-    mean = np.where(constant, first, np.mean(block, axis=1))
-    sd = np.where(constant, 0.0, np.std(block, axis=1, ddof=1))
-    rows = zip(mean.tolist(), sd.tolist(), block.min(axis=1).tolist(), block.max(axis=1).tolist())
     m_required, final_m, final_estimate, final_se, final_df_hat, final_gamma_hat = (
-        FieldSummary(*row) for row in rows)
+        FieldSummary.each(runs.recommendations.m_required, runs.final_m, runs.final_theta,
+                          runs.final_se, runs.final_df_hat, runs.final_gamma_hat))
     return TwoStageSummary(m_required, final_m, final_estimate, final_se, final_df_hat,
                            final_gamma_hat, achieved_sd_of_se=final_se.sd)
 
@@ -373,11 +374,10 @@ def empirical_cv_of(pooled: PooledReplicates) -> EmpiricalCv:
     reps = len(pooled.se)
     if reps < 2:
         raise ValueError(f"insufficient replications: need at least 2, got {reps}")
-    mean_v, sd_v = _mean_sd(pooled.v_total)
-    mean_se, sd_se = _mean_sd(pooled.se)
+    v_total, se = FieldSummary.each(pooled.v_total, pooled.se)
     return EmpiricalCv(
-        cv_v=sd_v / mean_v,
-        cv_se=sd_se / mean_se,
+        cv_v=v_total.sd / v_total.mean,
+        cv_se=se.sd / se.mean,
         mean_gamma_hat=float(np.mean(pooled.gamma_hat)),
         m=pooled.m,
         reps=reps,

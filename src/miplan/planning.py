@@ -206,11 +206,7 @@ def recommend(
     """
     gamma_used, se, pilot_m = pilot.gamma_interval.upper, pilot.se, pilot.m
     cv_target = target.cv_of_se(se)
-    # A cv target of 1 or more is looser than any useful goal; the floor of 2
-    # applies.  One that underflowed to 0 is stricter than any m can meet.
-    raw = (2.0 if cv_target >= 1.0 else math.inf if cv_target == 0.0
-           else _se_cv_rule(gamma_used, cv_target))
-    m_required, m_uncapped = _capped_count(raw, m_max)
+    m_required, m_uncapped = _required(gamma_used, cv_target, m_max)
     return Recommendation(
         m_required=m_required,
         gamma_used=gamma_used,
@@ -222,6 +218,15 @@ def recommend(
         m_uncapped=m_uncapped,
         capped=m_required != m_uncapped,
     )
+
+
+def _required(gamma_used: float, cv_target: float, m_max: int) -> tuple[int, float]:
+    """``_capped_count`` of the rule's count for a pilot's gamma bound and cv target."""
+    # A cv target of 1 or more is looser than any useful goal; the floor of 2
+    # applies.  One that underflowed to 0 is stricter than any m can meet.
+    raw = (2.0 if cv_target >= 1.0 else math.inf if cv_target == 0.0
+           else _se_cv_rule(gamma_used, cv_target))
+    return _capped_count(raw, m_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,39 +251,19 @@ def recommend_replicates(
     """``recommend`` of every pilot in pilots, pooled at level, by column.
 
     Entry r holds, bit for bit, the fields of ``recommend`` of
-    ``pool_arrays`` of pilot r's imputations at level.  The upper bounds
-    come from ``fmi.gamma_upper_bounds``; the rule, its ceiling and the
-    m_max cap run on arrays.  A cap above 2**53, which a float cannot
-    hold, counts row by row through ``_capped_count`` instead; then a count
-    past int64 leaves m_required an array of Python ints.
+    ``pool_arrays`` of pilot r's imputations at level: the upper bounds
+    come from ``fmi.gamma_upper_bounds``, and each count from
+    ``recommend``'s own rule and cap.  A count past int64 leaves
+    m_required an array of Python ints.
     """
-    _check_m_max(m_max)
-    gamma_used = gamma_upper_bounds(pilots.gamma_hat, pilots.m, level)
-    # A pooled SE is positive and finite (pool_rows rejects any other), as
-    # an sd_of_se goal needs; no other goal reads it.
-    cv_target = (target.value / pilots.se if target.kind == "sd_of_se"
-                 else np.full(len(pilots.se), target.cv_of_se(math.nan)))
-    # recommend's three cases.  gamma_used, an inverse logit of at most
-    # logit(1 - GAMMA_EPS) + 8.3, lies in (0, 1), as _se_cv_rule requires.
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = gamma_used / cv_target
-        raw = np.where(cv_target >= 1.0, 2.0,
-                       np.where(cv_target == 0.0, math.inf, 1.0 + 0.5 * ratio * ratio))
-    if m_max > 2**53:
-        counts = [_capped_count(r, m_max) for r in raw.tolist()]
-        m_required = np.array([count for count, _ in counts])
-        capped = np.array([count != uncapped for count, uncapped in counts])
-    else:
-        # _capped_count's ceiling; a count that overflowed to inf stays inf
-        with np.errstate(invalid="ignore"):
-            m = np.where(np.isinf(raw), math.inf,
-                         np.ceil(raw - _CEIL_SLACK * np.maximum(1.0, np.abs(raw))))
-        capped = m > m_max
-        m_required = np.where(capped, m_max, np.maximum(m, 2.0)).astype(np.int64)
+    gamma_used = gamma_upper_bounds(pilots.gamma_hat.tolist(), pilots.m, level)
+    cv_target = [target.cv_of_se(se) for se in pilots.se.tolist()]
+    counts = [_required(g, cv, m_max) for g, cv in zip(gamma_used, cv_target)]
+    m_required = np.array([m for m, _ in counts])
     return RecommendationColumns(
-        gamma_used=gamma_used,
-        cv_target=cv_target,
+        gamma_used=np.array(gamma_used),
+        cv_target=np.array(cv_target),
         m_required=m_required,
         pilot_sufficient=np.asarray(m_required <= pilots.m, dtype=bool),
-        capped=capped,
+        capped=np.array([m != uncapped for m, uncapped in counts]),
     )

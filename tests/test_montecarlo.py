@@ -14,7 +14,6 @@ import miplan.pooling as pooling
 from miplan import (
     ExperimentConfig,
     FieldSummary,
-    RecommendationColumns,
     ReplicabilityTarget,
     TwoStageRuns,
     calibrate_missing_fraction,
@@ -24,7 +23,6 @@ from miplan import (
     pool_fixed_dataset,
     pool_replicates,
     recommend,
-    recommend_replicates,
     required_m,
     run_two_stage,
     run_two_stage_experiment,
@@ -42,7 +40,12 @@ from miplan.montecarlo import (
     TAG_REP,
     calibrate_gamma,
 )
-from miplan.planning import DEFAULT_M_MAX, m_for_se_cv
+from miplan.planning import (
+    DEFAULT_M_MAX,
+    RecommendationColumns,
+    m_for_se_cv,
+    recommend_replicates,
+)
 from miplan.pooling import PooledReplicates, pool_arrays, pool_rows
 from miplan.quantiles import t_quantile
 
@@ -311,6 +314,18 @@ SUMMARY_COLUMNS = {  # TwoStageSummary's field: the column of TwoStageRuns it su
 }
 
 
+def column_summary(values: np.ndarray) -> FieldSummary:
+    """The summary of one column alone, the reference for FieldSummary.each:
+    numpy's mean, SD (ddof 1), min and max of the column, except that a
+    constant column gives exactly its value and SD 0."""
+    first = values[0]
+    if (values == first).all():
+        mean, sd = float(first), 0.0
+    else:
+        mean, sd = float(np.mean(values)), float(np.std(values, ddof=1))
+    return FieldSummary(mean, sd, float(np.min(values)), float(np.max(values)))
+
+
 def column_runs(**columns: np.ndarray) -> TwoStageRuns:
     """Two-stage runs that hold the given summarised columns; the summary reads no other."""
     recs = RecommendationColumns(*([None] * 2), columns.pop("m_required"), *([None] * 2))
@@ -335,9 +350,10 @@ class TestSummaries:
 
     @pytest.mark.parametrize("reps", [2, 7, 20, 9000, 20000])
     def test_block_summary_is_field_summary_of_each_column(self, reps):
-        """Each row of the 2-d block summarises, bit for bit, as FieldSummary.of
-        of its column alone: with constant columns, integer columns, and
-        more replications than numpy's 8192-element buffer."""
+        """Each row of the 2-d block summarises, bit for bit, as its column
+        alone does in column_summary, and so does FieldSummary.of: with
+        constant columns, integer columns, and more replications than
+        numpy's 8192-element buffer."""
         rng = np.random.default_rng(reps)
         m_required = rng.integers(2, 5000, reps)
         runs = column_runs(
@@ -351,8 +367,10 @@ class TestSummaries:
         summary = summarize_two_stage(runs)
         for name, column in SUMMARY_COLUMNS.items():
             source = runs.recommendations if name == "m_required" else runs
-            expected = FieldSummary.of(getattr(source, column))
+            expected = column_summary(getattr(source, column))
             assert repr(astuple(getattr(summary, name))) == repr(astuple(expected)), name
+            assert repr(astuple(FieldSummary.of(getattr(source, column)))) == repr(
+                astuple(expected)), name
         assert repr(summary.achieved_sd_of_se) == repr(summary.final_se.sd)
         assert summary.as_dict() == asdict(summary)
         assert list(summary.as_dict()) == [f.name for f in fields(summary)]
@@ -362,6 +380,13 @@ class TestSummaries:
         # one ulp above it; the summary must not depend on that summation
         value = 0.20533040718753454
         column = np.full(7, value)
+        assert FieldSummary.of(column) == FieldSummary(mean=value, sd=0.0, min=value, max=value)
+
+    @pytest.mark.parametrize("value, count", [(0.25, 1), (math.inf, 3), (-math.inf, 2)])
+    def test_constant_column_without_an_sd_is_exact(self, value, count):
+        """One value, or a run of infs, is a constant column too: exactly its
+        value and SD 0, with no warning (pytest turns one into an error)."""
+        column = np.full(count, value)
         assert FieldSummary.of(column) == FieldSummary(mean=value, sd=0.0, min=value, max=value)
 
 
@@ -374,6 +399,16 @@ class TestEmpiricalCv:
     def test_deterministic(self):
         d = gen_incomplete(300, 0.0, 0.5, stream(3, TAG_DATA))
         assert empirical_cv(d, 5, 120, seed=3) == empirical_cv(d, 5, 120, seed=3)
+
+    @pytest.mark.parametrize("reps", [120, 9000])
+    def test_cvs_are_those_of_each_column_alone(self, reps):
+        """empirical_cv_of summarises v_total and se in one block, and each
+        CV is, bit for bit, column_summary's SD over mean of its column."""
+        pooled = pool_replicates(gen_incomplete(300, 0.0, 0.5, stream(3, TAG_DATA)), 5, reps, 3)
+        cv = montecarlo.empirical_cv_of(pooled)
+        for got, column in ((cv.cv_v, pooled.v_total), (cv.cv_se, pooled.se)):
+            expected = column_summary(column)
+            assert repr(got) == repr(expected.sd / expected.mean)
 
     def test_large_m_shrinks_cv(self):
         d = gen_incomplete(300, 0.0, 0.5, stream(9, TAG_DATA))

@@ -19,9 +19,8 @@ from miplan import (
     m_for_se_cv,
     pool,
     recommend,
-    recommend_replicates,
 )
-from miplan.planning import RecommendationColumns, _capped_count
+from miplan.planning import RecommendationColumns, _capped_count, recommend_replicates
 from miplan.pooling import pool_arrays, pool_rows
 from conftest import make_pilot_results
 
