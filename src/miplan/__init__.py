@@ -20,11 +20,8 @@ from .fmi import (
 from .imputer import (
     CompletedDataset,
     IncompleteBivariate,
-    PosteriorDraw,
     analyze_mean,
-    fit_and_draw,
     impute_m,
-    impute_once,
 )
 from .montecarlo import (
     EmpiricalCv,
@@ -80,11 +77,8 @@ __all__ = [
     "table1",
     "CompletedDataset",
     "IncompleteBivariate",
-    "PosteriorDraw",
     "analyze_mean",
-    "fit_and_draw",
     "impute_m",
-    "impute_once",
     "EmpiricalCv",
     "ExperimentConfig",
     "FieldSummary",

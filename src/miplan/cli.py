@@ -20,7 +20,7 @@ from itertools import zip_longest
 from typing import Sequence
 
 from . import __version__
-from .fmi import round_half_away, table1
+from .fmi import TABLE1_GAMMAS, TABLE1_MS, round_half_away, table1
 from .montecarlo import (
     ExperimentConfig,
     derive_seed,
@@ -123,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="confidence-interval table for the fraction of missing information")
     p.set_defaults(handler=cmd_table1)
-    p.add_argument("--gammas", default="0.1,0.3,0.5,0.7,0.9")
-    p.add_argument("--ms", default="5,10,15,20")
+    p.add_argument("--gammas", default=",".join(map(str, TABLE1_GAMMAS)))
+    p.add_argument("--ms", default=",".join(map(str, TABLE1_MS)))
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--format", choices=("csv", "text"), default="csv")

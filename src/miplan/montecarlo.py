@@ -37,7 +37,14 @@ from .planning import (
     recommend,
     recommend_replicates,
 )
-from .pooling import PooledAnalysis, PooledReplicates, pool_arrays, pool_rows, pool_segments
+from .pooling import (
+    PooledAnalysis,
+    PooledReplicates,
+    _mean_ssd,
+    pool_arrays,
+    pool_rows,
+    pool_segments,
+)
 
 # Spawn-key tags keep the dataset, the replications, the search probes,
 # calibrate_gamma's datasets and the two-stage finals on disjoint streams
@@ -248,24 +255,20 @@ class FieldSummary:
     max: float
 
     @classmethod
-    def of(cls, values: np.ndarray) -> "FieldSummary":
-        return cls.each(values)[0]
-
-    @classmethod
     def each(cls, *columns: np.ndarray) -> list["FieldSummary"]:
-        """Mean, SD (ddof 1), min and max of each column, taken along the
-        rows of one 2-d float block: np.mean and np.std as numpy computes
+        """Mean, SD (ddof 1), min and max of each column: the package's only
+        column summary.  The columns are stacked as the rows of one 2-d
+        float block and summed along them by ``pooling._mean_ssd``, the
+        pass ``pool_rows`` makes: np.mean and np.std as numpy computes
         them, sharing one sum.  A row's sums run along it as a lone
-        column's do, so a column's figures do not depend on the others.  A
-        constant column gives exactly its value and SD 0; numpy's sums can
-        round a few ulps off both, and one value or a run of infs has no
-        SD to compute."""
+        column's do, so a column's figures do not depend on the others,
+        and ``each(x)[0]`` summarises x alone.  A constant column gives
+        exactly its value and SD 0; numpy's sums can round a few ulps off
+        both, and one value or a run of infs has no SD to compute."""
         block = np.stack(columns, dtype=np.float64)
-        n = block.shape[1]
         with np.errstate(invalid="ignore", divide="ignore"):
-            mean = np.add.reduce(block, axis=1) / n
-            dev = block - mean[:, None]
-            sd = np.sqrt(np.add.reduce(dev * dev, axis=1) / (n - 1))
+            mean, ssd = _mean_ssd(block)
+            sd = np.sqrt(ssd / (block.shape[1] - 1))
         lo, hi = block.min(axis=1), block.max(axis=1)
         constant = lo == hi
         mean[constant] = block[constant, 0]
@@ -370,15 +373,17 @@ class EmpiricalCv:
 
 def empirical_cv_of(pooled: PooledReplicates) -> EmpiricalCv:
     """Coefficients of variation of the v_total and se columns of pooled
-    replicates (as ``pool_replicates`` returns them)."""
+    replicates (as ``pool_replicates`` returns them), and the mean of their
+    gamma_hat column, all from one ``FieldSummary.each`` call: a constant
+    column's mean is exactly its value."""
     reps = len(pooled.se)
     if reps < 2:
         raise ValueError(f"insufficient replications: need at least 2, got {reps}")
-    v_total, se = FieldSummary.each(pooled.v_total, pooled.se)
+    v_total, se, gamma_hat = FieldSummary.each(pooled.v_total, pooled.se, pooled.gamma_hat)
     return EmpiricalCv(
         cv_v=v_total.sd / v_total.mean,
         cv_se=se.sd / se.mean,
-        mean_gamma_hat=float(np.mean(pooled.gamma_hat)),
+        mean_gamma_hat=gamma_hat.mean,
         m=pooled.m,
         reps=reps,
     )

@@ -144,10 +144,9 @@ class PooledReplicates:
     """Rubin's rules over many poolings of m imputations each, by column.
 
     Entry i of every array is pooling i's field of PooledAnalysis; the
-    intervals, which no measurement uses, are left out.  ``pool_rows`` of
-    one 1-d pooling gives Python floats instead of arrays, and
-    ``pool_segments``, whose poolings differ in size, gives m as an array
-    too.  Each pooling sums its imputations in the order they were drawn.
+    intervals, which no measurement uses, are left out.  ``pool_segments``,
+    whose poolings differ in size, gives m as an array too.  Each pooling
+    sums its imputations in the order they were drawn.
     """
 
     m: int
@@ -162,41 +161,48 @@ class PooledReplicates:
 
 
 def pool_rows(estimates: np.ndarray, withins: np.ndarray) -> PooledReplicates:
-    """Rubin's rules along the last axis: one pooling per row of m imputations.
+    """Rubin's rules along the last axis of a 2-d block: one pooling per row
+    of m imputations.
 
     Each row is summed in the order given.  Only ``pool``, whose rows a user
     writes in any order, sorts them first; a simulated row's order is
     already fixed by the stream that drew it, so a canonical order buys
     nothing there.  A row of a block whose rows lie contiguous along the
     last axis (C order, or a slice of its leading columns) pools bit for
-    bit as that row alone.
+    bit as ``pool_arrays`` pools that row alone.
 
     The callers vouch for the entries (finite estimates, finite variances
     >= 0): ``pool`` checks them, and the Monte Carlo engine draws them.
     An overflowing or non-positive pooled variance is still rejected; among
     many rows, the first bad row raises what pooling it alone would.
     """
-    if estimates.ndim == 1:
-        return PooledReplicates(len(estimates), *_pool_row(estimates, withins))
     m = estimates.shape[-1]
     _check_m(m)
-
-    # np.mean and np.var(ddof=1) as numpy computes them, sharing one sum.
     # Finite inputs near the float64 limit can overflow; _rubin reports that.
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = np.add.reduce(estimates, axis=-1) / m
-        dev = estimates - theta[..., None]
-        ssd = np.add.reduce(dev * dev, axis=-1)
+        theta, ssd = _mean_ssd(estimates)
         w_bar = np.add.reduce(withins, axis=-1) / m
     return PooledReplicates(m, *_rubin(m, theta, w_bar, ssd))
+
+
+def _mean_ssd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean of each row of a 2-d block and the sum of its squared
+    deviations from that mean: np.mean, and the sum that np.var(ddof=1)
+    divides by n - 1, as numpy computes them, sharing one sum.  A row's sums
+    run along it as a lone row's do.  No errstate is set here: each caller
+    holds its own."""
+    mean = np.add.reduce(block, axis=-1) / block.shape[-1]
+    dev = block - mean[..., None]
+    return mean, np.add.reduce(dev * dev, axis=-1)
 
 
 def pool_segments(estimates: np.ndarray, withins: np.ndarray, ms: np.ndarray) -> PooledReplicates:
     """Rubin's rules over consecutive segments of one 1-d run of imputations:
     pooling i takes the next ms[i] entries, and ``m`` is the array ms.
 
-    Pooling i is, bit for bit, ``pool_rows`` of its segment alone: each of
-    its three sums is one ``np.add.reduce`` of a contiguous slice, as there.
+    Pooling i is, bit for bit, ``pool_arrays`` of its segment alone: each
+    of its three sums is one ``np.add.reduce`` of a contiguous slice, as
+    there.
     (``np.add.reduceat`` would take all of them at once, but it sums each
     segment in sequence, not pairwise, so it rounds differently.)  The
     entries are vouched for as in ``pool_rows``, and the first unusable
@@ -238,29 +244,6 @@ def _rubin(m, theta: np.ndarray, w_bar: np.ndarray, ssd: np.ndarray) -> tuple[np
             (m - 1) / (gamma_hat * gamma_hat))
 
 
-def _pool_row(estimates: np.ndarray, withins: np.ndarray) -> tuple[float, ...]:
-    """Rubin's rules over one 1-d row: theta, w_bar, b, v_total, se,
-    gamma_hat, gamma_raw and df_hat, as Python floats.
-
-    The arithmetic after the sums is done in Python floats: the same IEEE
-    operations as ``pool_rows``' block, so the same bits, without numpy's
-    cost per scalar, which dominates at pilot sizes.
-    """
-    m = len(estimates)
-    _check_m(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = float(np.add.reduce(estimates)) / m
-        dev = estimates - theta
-        b = float(np.add.reduce(dev * dev)) / (m - 1)
-        w_bar = float(np.add.reduce(withins)) / m
-    v_total = w_bar + (1.0 + 1.0 / m) * b
-    _reject(theta, v_total)
-    gamma_raw = (1.0 + 1.0 / m) * b / v_total
-    gamma_hat = min(max(gamma_raw, GAMMA_EPS), 1.0 - GAMMA_EPS)
-    return (theta, w_bar, b, v_total, math.sqrt(v_total), gamma_hat, gamma_raw,
-            (m - 1) / (gamma_hat * gamma_hat))
-
-
 def _check_m(m: int) -> None:
     if m < 2:
         raise ValueError(f"insufficient imputations: need at least 2, got {m}")
@@ -277,11 +260,27 @@ def _reject(theta: float, v_total: float) -> None:
 
 def pool_arrays(estimates: np.ndarray, withins: np.ndarray, level: float = 0.95) -> PooledAnalysis:
     """Rubin's rules over the m estimates and within variances of one
-    pooling, with its gamma and theta intervals: the floats of
-    ``pool_rows`` of that one row, and the intervals at level."""
+    pooling, with its gamma and theta intervals at level: the bits of
+    ``pool_rows`` of that one row.
+
+    The arithmetic after numpy's sums is done in Python floats: the same
+    IEEE operations as ``pool_rows``' block, so the same bits, without
+    numpy's cost per scalar, which dominates at pilot sizes.
+    """
     check_level(level)
     m = len(estimates)
-    theta, w_bar, b, v_total, se, gamma_hat, gamma_raw, df_hat = _pool_row(estimates, withins)
+    _check_m(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = float(np.add.reduce(estimates)) / m
+        dev = estimates - theta
+        b = float(np.add.reduce(dev * dev)) / (m - 1)
+        w_bar = float(np.add.reduce(withins)) / m
+    v_total = w_bar + (1.0 + 1.0 / m) * b
+    _reject(theta, v_total)
+    gamma_raw = (1.0 + 1.0 / m) * b / v_total
+    gamma_hat = min(max(gamma_raw, GAMMA_EPS), 1.0 - GAMMA_EPS)
+    se = math.sqrt(v_total)
+    df_hat = (m - 1) / (gamma_hat * gamma_hat)
     interval = gamma_ci(gamma_hat, m, level)
     half = t_quantile(0.5 * (1.0 + level), df_hat) * se
     return PooledAnalysis(

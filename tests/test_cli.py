@@ -664,6 +664,16 @@ class TestSimulate:
         summary = json.loads(out)
         assert (code, err, summary["cv_v"], summary["cv_se"]) == (0, "", 0, 0)
         assert summary["cv_v_over_2cv_se"] is None
+        # Here numpy's mean of the 2000 equal gamma_hat came out an ulp above
+        # GAMMA_EPS, so mean_gamma_hat too must be the constant column's value.
+        code, out, err = run_cli(capsys, [
+            "simulate", "--experiment", "cv-check", "--n", "300", "--missing", "0.001",
+            "--m", "5", "--reps", "2000", "--seed", "0",
+        ])
+        summary = json.loads(out)
+        assert (code, err, summary["cv_v"], summary["cv_se"]) == (0, "", 0, 0)
+        assert summary["mean_gamma_hat"] == 1e-06
+        assert summary["cv_v_predicted"] == 1e-06 * math.sqrt(2 / 4)
         code, out, err = run_cli(capsys, [
             "simulate", "--experiment", "two-stage", "--n", "5", "--missing", "0.01",
             "--reps", "7", "--target-cv", "0.5", "--seed", "5",

@@ -21,10 +21,8 @@ from miplan import (
     IncompleteBivariate,
     ReplicabilityTarget,
     analyze_mean,
-    fit_and_draw,
     gen_incomplete,
     impute_m,
-    impute_once,
     pool,
     pool_replicates,
     run_two_stage,
@@ -32,7 +30,7 @@ from miplan import (
     stream,
 )
 from miplan import montecarlo
-from miplan.imputer import draw_mean_variates, mean_analyses
+from miplan.imputer import draw_mean_variates, fit_and_draw, impute_once, mean_analyses
 from miplan.montecarlo import BLOCK_IMPUTATIONS, TAG_DATA, TAG_REP, _pool_once
 
 import reference

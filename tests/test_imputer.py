@@ -9,11 +9,10 @@ from miplan import (
     CompletedDataset,
     IncompleteBivariate,
     analyze_mean,
-    fit_and_draw,
     gen_incomplete,
     impute_m,
-    impute_once,
 )
+from miplan.imputer import fit_and_draw, impute_once
 from miplan.montecarlo import calibrate_gamma
 
 

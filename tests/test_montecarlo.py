@@ -233,7 +233,7 @@ class TestTwoStage:
             for r in chunk:
                 start, end = end, end + recs[r].m_required
                 segment = (v[start:end] for v in variates)
-                final = pool_rows(*mean_analyses(data.mean_stats, *segment))
+                final = pool_arrays(*mean_analyses(data.mean_stats, *segment))
                 assert runs.final_m[r] == final.m
                 for name in ("theta", "se", "gamma_hat", "df_hat"):
                     got = getattr(runs, f"final_{name}")[r].item()
@@ -351,7 +351,7 @@ class TestSummaries:
     @pytest.mark.parametrize("reps", [2, 7, 20, 9000, 20000])
     def test_block_summary_is_field_summary_of_each_column(self, reps):
         """Each row of the 2-d block summarises, bit for bit, as its column
-        alone does in column_summary, and so does FieldSummary.of: with
+        alone does in column_summary, and so does each(column)[0]: with
         constant columns, integer columns, and more replications than
         numpy's 8192-element buffer."""
         rng = np.random.default_rng(reps)
@@ -369,7 +369,7 @@ class TestSummaries:
             source = runs.recommendations if name == "m_required" else runs
             expected = column_summary(getattr(source, column))
             assert repr(astuple(getattr(summary, name))) == repr(astuple(expected)), name
-            assert repr(astuple(FieldSummary.of(getattr(source, column)))) == repr(
+            assert repr(astuple(FieldSummary.each(getattr(source, column))[0])) == repr(
                 astuple(expected)), name
         assert repr(summary.achieved_sd_of_se) == repr(summary.final_se.sd)
         assert summary.as_dict() == asdict(summary)
@@ -380,14 +380,14 @@ class TestSummaries:
         # one ulp above it; the summary must not depend on that summation
         value = 0.20533040718753454
         column = np.full(7, value)
-        assert FieldSummary.of(column) == FieldSummary(mean=value, sd=0.0, min=value, max=value)
+        assert FieldSummary.each(column)[0] == FieldSummary(mean=value, sd=0.0, min=value, max=value)
 
     @pytest.mark.parametrize("value, count", [(0.25, 1), (math.inf, 3), (-math.inf, 2)])
     def test_constant_column_without_an_sd_is_exact(self, value, count):
         """One value, or a run of infs, is a constant column too: exactly its
         value and SD 0, with no warning (pytest turns one into an error)."""
         column = np.full(count, value)
-        assert FieldSummary.of(column) == FieldSummary(mean=value, sd=0.0, min=value, max=value)
+        assert FieldSummary.each(column)[0] == FieldSummary(mean=value, sd=0.0, min=value, max=value)
 
 
 class TestEmpiricalCv:
@@ -402,13 +402,15 @@ class TestEmpiricalCv:
 
     @pytest.mark.parametrize("reps", [120, 9000])
     def test_cvs_are_those_of_each_column_alone(self, reps):
-        """empirical_cv_of summarises v_total and se in one block, and each
-        CV is, bit for bit, column_summary's SD over mean of its column."""
+        """empirical_cv_of summarises v_total, se and gamma_hat in one block:
+        each CV is, bit for bit, column_summary's SD over mean of its column,
+        and mean_gamma_hat is column_summary's mean of gamma_hat."""
         pooled = pool_replicates(gen_incomplete(300, 0.0, 0.5, stream(3, TAG_DATA)), 5, reps, 3)
         cv = montecarlo.empirical_cv_of(pooled)
         for got, column in ((cv.cv_v, pooled.v_total), (cv.cv_se, pooled.se)):
             expected = column_summary(column)
             assert repr(got) == repr(expected.sd / expected.mean)
+        assert repr(cv.mean_gamma_hat) == repr(column_summary(pooled.gamma_hat).mean)
 
     def test_large_m_shrinks_cv(self):
         d = gen_incomplete(300, 0.0, 0.5, stream(9, TAG_DATA))

@@ -32,6 +32,13 @@ def test_every_export_resolves():
     assert len(set(miplan.__all__)) == len(miplan.__all__)
 
 
+def test_reference_imputer_is_not_exported():
+    """The reference imputation path lives in miplan.imputer alone."""
+    for name in ("fit_and_draw", "impute_once", "PosteriorDraw"):
+        assert not hasattr(miplan, name), name
+        assert hasattr(miplan.imputer, name), name
+
+
 def test_version_matches_pyproject():
     assert miplan.__version__ == project_version(PYPROJECT.read_text(encoding="utf-8"))
 
