@@ -290,10 +290,9 @@ def _sim_two_stage(args) -> int:
         "gamma_used", "cv_target", "m_required", "pilot_sufficient",
         "final_m", "final_estimate", "final_se", "final_gamma_hat", "final_df_hat",
     )
-    p, r = runs.pilots, runs.recommendations
+    p, r, f = runs.pilots, runs.recommendations, runs.finals
     columns = (p.theta, p.se, p.gamma_hat, p.df_hat, r.gamma_used, r.cv_target, r.m_required,
-               r.pilot_sufficient, runs.final_m, runs.final_theta, runs.final_se,
-               runs.final_gamma_hat, runs.final_df_hat)
+               r.pilot_sufficient, f.m, f.theta, f.se, f.gamma_hat, f.df_hat)
     rows = [(rep, p.m, *row) for rep, row in enumerate(zip(*(c.tolist() for c in columns)))]
     fields = {
         "pilot_m": config.pilot_m,

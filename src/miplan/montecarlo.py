@@ -11,10 +11,10 @@ experiment takes its pilots from ``pool_replicates`` at pilot_m, and draws
 the finals of the replications whose pilot falls short in chunks, chunk c
 from stream(seed, TAG_FINAL, c); so a replication's final depends on the
 seed, its own m_required and the m_required of each short replication
-before it.  Every experiment returns its replications by column
-(``PooledReplicates``, ``TwoStageRuns``), and a two-stage experiment
-plans and summarises by column too; of the intervals, only the upper
-bound of each pilot's gamma interval is computed.
+before it.  Every experiment returns its replications by column, one
+``PooledReplicates`` per pooling stage (``TwoStageRuns`` holds two), and
+a two-stage experiment plans and summarises by column too; of the
+intervals, only the upper bound of each pilot's gamma interval is computed.
 """
 
 from __future__ import annotations
@@ -181,17 +181,14 @@ def run_two_stage(
 
 @dataclass(frozen=True, eq=False)
 class TwoStageRuns:
-    """A two-stage experiment by column: entry r of each, replication r's.
-    Where a pilot sufficed, its final entries are its pilot entries, so
-    final_m is max(pilot_m, m_required)."""
+    """A two-stage experiment by column, one column set per stage: entry r
+    of each, replication r's.  finals.m is an array, each replication's
+    final m.  Where a pilot sufficed, its finals entries are its pilots
+    entries, so finals.m is max(pilot_m, m_required)."""
 
     pilots: PooledReplicates
     recommendations: RecommendationColumns
-    final_m: np.ndarray
-    final_theta: np.ndarray
-    final_se: np.ndarray
-    final_gamma_hat: np.ndarray
-    final_df_hat: np.ndarray
+    finals: PooledReplicates
 
 
 def run_two_stage_experiment(
@@ -218,7 +215,7 @@ def run_two_stage_experiment(
     ``impute_m`` call, gives them one closed-form call, and pools each
     replication's contiguous run of m_required of them in one
     ``pool_segments`` call, with no interval, since no reader of a final
-    uses one.
+    uses one: its poolings overwrite its rows of a copy of the pilots.
     """
     if data is None:
         data = gen_incomplete(
@@ -226,8 +223,9 @@ def run_two_stage_experiment(
         )
     pilots = pool_replicates(data, config.pilot_m, config.reps, config.seed)
     recs = recommend_replicates(pilots, config.target, config.level, config.m_max)
-    final_m = np.full(config.reps, config.pilot_m)
-    finals = {name: getattr(pilots, name).copy() for name in ("theta", "se", "gamma_hat", "df_hat")}
+    # a copy of the pilots' columns, with pilots.m (one int) as a column
+    finals = PooledReplicates(np.full(config.reps, config.pilot_m), **{
+        f.name: getattr(pilots, f.name).copy() for f in fields(PooledReplicates) if f.name != "m"})
     m_required = recs.m_required.tolist()
     chunks: list[list[int]] = []
     size = math.inf  # the first short replication opens the first chunk
@@ -241,10 +239,9 @@ def run_two_stage_experiment(
         ms = [m_required[r] for r in chunk]
         variates = impute_m(data, sum(ms), stream(config.seed, TAG_FINAL, c))
         final = pool_segments(*mean_analyses(data.mean_stats, *variates), ms)
-        final_m[chunk] = ms  # after the draw, which rejects an m past int64
-        for name, column in finals.items():
-            column[chunk] = getattr(final, name)
-    return TwoStageRuns(pilots, recs, final_m, **{f"final_{k}": v for k, v in finals.items()})
+        for f in fields(PooledReplicates):
+            getattr(finals, f.name)[chunk] = getattr(final, f.name)
+    return TwoStageRuns(pilots, recs, finals)
 
 
 @dataclass(frozen=True)
@@ -297,11 +294,12 @@ class TwoStageSummary:
 def summarize_two_stage(runs: TwoStageRuns) -> TwoStageSummary:
     """Componentwise mean/sd/min/max of the final-stage results, in one
     ``FieldSummary.each`` call."""
-    if len(runs.final_se) < 2:
-        raise ValueError(f"insufficient replications: need at least 2, got {len(runs.final_se)}")
+    f = runs.finals
+    if len(f.se) < 2:
+        raise ValueError(f"insufficient replications: need at least 2, got {len(f.se)}")
     m_required, final_m, final_estimate, final_se, final_df_hat, final_gamma_hat = (
-        FieldSummary.each(runs.recommendations.m_required, runs.final_m, runs.final_theta,
-                          runs.final_se, runs.final_df_hat, runs.final_gamma_hat))
+        FieldSummary.each(runs.recommendations.m_required, f.m, f.theta, f.se, f.df_hat,
+                          f.gamma_hat))
     return TwoStageSummary(m_required, final_m, final_estimate, final_se, final_df_hat,
                            final_gamma_hat, achieved_sd_of_se=final_se.sd)
 

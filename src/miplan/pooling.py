@@ -143,20 +143,18 @@ def pool(
 class PooledReplicates:
     """Rubin's rules over many poolings of m imputations each, by column.
 
-    Entry i of every array is pooling i's field of PooledAnalysis; the
-    intervals, which no measurement uses, are left out.  ``pool_segments``,
-    whose poolings differ in size, gives m as an array too.  Each pooling
-    sums its imputations in the order they were drawn.
+    Entry i of every array is pooling i's field of PooledAnalysis.  Only
+    the fields a measurement or a plan reads are kept: w_bar, b, gamma_raw
+    and the intervals are left out.  ``pool_segments``, whose poolings
+    differ in size, gives m as an array too.  Each pooling sums its
+    imputations in the order they were drawn.
     """
 
     m: int
     theta: np.ndarray
-    w_bar: np.ndarray
-    b: np.ndarray
     v_total: np.ndarray
     se: np.ndarray
     gamma_hat: np.ndarray
-    gamma_raw: np.ndarray
     df_hat: np.ndarray
 
 
@@ -224,11 +222,10 @@ def pool_segments(estimates: np.ndarray, withins: np.ndarray, ms: np.ndarray) ->
 
 def _rubin(m, theta: np.ndarray, w_bar: np.ndarray, ssd: np.ndarray) -> tuple[np.ndarray, ...]:
     """Rubin's rules after the sums, for poolings of m imputations (one int,
-    or an array with each pooling's m): theta, w_bar, b, v_total, se,
-    gamma_hat, gamma_raw and df_hat, from each pooling's mean estimate,
-    mean within variance and sum of squared deviations ssd.  Among many
-    poolings, the first with an unusable total variance raises what pooling
-    it alone would."""
+    or an array with each pooling's m): theta, v_total, se, gamma_hat and
+    df_hat, from each pooling's mean estimate, mean within variance and sum
+    of squared deviations ssd.  Among many poolings, the first with an
+    unusable total variance raises what pooling it alone would."""
     with np.errstate(over="ignore", invalid="ignore"):
         b = ssd / (m - 1)
         v_total = w_bar + (1.0 + 1.0 / m) * b
@@ -240,8 +237,7 @@ def _rubin(m, theta: np.ndarray, w_bar: np.ndarray, ssd: np.ndarray) -> tuple[np
     gamma_raw = (1.0 + 1.0 / m) * b / v_total
     # clamp_gamma's clamp; with withins >= 0, gamma_raw is already in [0, 1]
     gamma_hat = np.minimum(np.maximum(gamma_raw, GAMMA_EPS), 1.0 - GAMMA_EPS)
-    return (theta, w_bar, b, v_total, np.sqrt(v_total), gamma_hat, gamma_raw,
-            (m - 1) / (gamma_hat * gamma_hat))
+    return theta, v_total, np.sqrt(v_total), gamma_hat, (m - 1) / (gamma_hat * gamma_hat)
 
 
 def _check_m(m: int) -> None:

@@ -1,11 +1,13 @@
-"""Normal and Student-t quantiles from scipy.special's exact routines."""
+"""Normal and Student-t quantiles from scipy.special's exact routines.
+
+scipy.special, most of a short command's start-up, is imported at the first
+quantile, so a command that computes none (README) never loads it.
+"""
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-from scipy.special import ndtri, stdtrit
 
 
 def _check_p(p: float) -> None:
@@ -26,6 +28,7 @@ def t_quantile(p: float, df: float) -> float:
     """
     _check_p(p)
     _check_df(df)
+    from scipy.special import stdtrit
     return float(stdtrit(df, p))
 
 
@@ -34,4 +37,5 @@ def t_quantile(p: float, df: float) -> float:
 def normal_quantile(p: float) -> float:
     """Standard normal quantile."""
     _check_p(p)
+    from scipy.special import ndtri
     return float(ndtri(p))

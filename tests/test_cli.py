@@ -789,6 +789,51 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
+# Runs each argv of sys.argv[1] through cli.main in this one interpreter, and
+# prints, after each, its exit code and the scipy modules loaded so far.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from miplan.cli import main
+
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report.append([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(report))
+"""
+
+# The commands that compute no quantile, so never load scipy.
+QUANTILE_FREE = [
+    ["--version"],
+    ["--help"],
+    ["curve", "--gammas", "0.3,0.6"],
+    ["df-curve"],
+    ["simulate", "--experiment", "cv-check", "--n", "300", "--m", "5", "--reps", "100"],
+    ["simulate", "--experiment", "df-reliability", "--n", "300", "--reps", "100"],
+    ["simulate", "--experiment", "curve", "--simulated", "--gammas", "0.3", "--n", "300",
+     "--reps", "100"],
+]
+
+
+def test_quantile_free_commands_never_load_scipy(tmp_path):
+    """scipy.special is imported at the first quantile, not with the package:
+    in one fresh interpreter, no quantile-free command loads any scipy
+    module, and a pool run afterwards, whose intervals need quantiles, does,
+    so the probe can see a load."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(miplan.__file__)))
+    argvs = QUANTILE_FREE + [["pool", "--in", write_two_row_csv(tmp_path)]]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *quantile_free, after_pool = json.loads(proc.stdout)
+    assert quantile_free == [[0, []]] * len(QUANTILE_FREE)
+    assert after_pool[0] == 0 and "scipy.special" in after_pool[1]
+
+
 # Every finite float: hypothesis draws +-0.0, subnormals and the extremes too.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EXTREMES = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1.7e308)

@@ -296,8 +296,8 @@ def test_block_two_stage_matches_per_replication_two_stage_in_distribution(pilot
     _, recs, finals = zip(*(run_two_stage(config, stream(606, TAG_REP, r), data)
                             for r in range(config.reps)))
     for name, block_column, single_column in [
-        ("final_se", block.final_se, [final.se for final in finals]),
-        ("final_gamma_hat", block.final_gamma_hat, [final.gamma_hat for final in finals]),
+        ("final_se", block.finals.se, [final.se for final in finals]),
+        ("final_gamma_hat", block.finals.gamma_hat, [final.gamma_hat for final in finals]),
         ("m_required", block.recommendations.m_required, [rec.m_required for rec in recs]),
     ]:
         p_value = stats.ks_2samp(block_column, single_column).pvalue
@@ -339,7 +339,7 @@ def test_engine_called_once_per_pooling_with_its_m(monkeypatch):
         sizes = [size for size, _ in calls]
         assert sizes[:len(pilot_sizes)] == pilot_sizes
         pilot_sufficient = runs.recommendations.pilot_sufficient
-        finals = runs.final_m[~pilot_sufficient].tolist()
+        finals = runs.finals.m[~pilot_sufficient].tolist()
         assert sum(sizes) == reps * pilot_m + sum(finals)
         assert len({id(rng) for _, rng in calls}) == len(calls)
         # each chunk is a run of whole replications' finals, in rep order

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -147,21 +147,25 @@ def bits(column) -> bytes:
     return np.asarray(column).tobytes()
 
 
+# Each pooling's fields but m, which a pilot holds as one int.
+POOLED_COLUMNS = [f.name for f in fields(PooledReplicates) if f.name != "m"]
+
+
 def assert_same_runs(a: TwoStageRuns, b: TwoStageRuns) -> None:
     for f in fields(PooledReplicates):
         assert bits(getattr(a.pilots, f.name)) == bits(getattr(b.pilots, f.name)), f.name
     for f in fields(RecommendationColumns):
         column_a, column_b = getattr(a.recommendations, f.name), getattr(b.recommendations, f.name)
         assert column_a.dtype == column_b.dtype and bits(column_a) == bits(column_b), f.name
-    for name in ("final_m", "final_theta", "final_se", "final_gamma_hat", "final_df_hat"):
-        assert bits(getattr(a, name)) == bits(getattr(b, name)), name
+    for f in fields(PooledReplicates):
+        assert bits(getattr(a.finals, f.name)) == bits(getattr(b.finals, f.name)), f.name
 
 
 def assert_final_is_pilot(runs: TwoStageRuns, r: int) -> None:
     """Replication r's final entries are its pilot entries, bit for bit."""
-    assert runs.final_m[r] == runs.pilots.m
-    for name in ("theta", "se", "gamma_hat", "df_hat"):
-        final, pilot = getattr(runs, f"final_{name}")[r], getattr(runs.pilots, name)[r]
+    assert runs.finals.m[r] == runs.pilots.m
+    for name in POOLED_COLUMNS:
+        final, pilot = getattr(runs.finals, name)[r], getattr(runs.pilots, name)[r]
         assert bits(final) == bits(pilot), (r, name)
 
 
@@ -188,7 +192,7 @@ class TestTwoStage:
         config = small_config(reps=6, target=ReplicabilityTarget("cv_of_se", 0.12))
         runs = run_two_stage_experiment(config)
         expected = [max(config.pilot_m, m) for m in runs.recommendations.m_required.tolist()]
-        assert runs.final_m.tolist() == expected
+        assert runs.finals.m.tolist() == expected
 
     def test_experiment_reproducible(self):
         config = small_config()
@@ -222,21 +226,21 @@ class TestTwoStage:
         assert short
         layout = [[]]
         for r in short:
-            if sum(runs.final_m[layout[-1]]) + runs.final_m[r] > BLOCK_IMPUTATIONS:
+            if sum(runs.finals.m[layout[-1]]) + runs.finals.m[r] > BLOCK_IMPUTATIONS:
                 layout.append([])
             layout[-1].append(r)
         assert len(layout) == chunks
         for c, chunk in enumerate(layout):
             variates = draw_mean_variates(
-                data, int(sum(runs.final_m[chunk])), stream(config.seed, TAG_FINAL, c))
+                data, int(sum(runs.finals.m[chunk])), stream(config.seed, TAG_FINAL, c))
             end = 0
             for r in chunk:
                 start, end = end, end + recs[r].m_required
                 segment = (v[start:end] for v in variates)
                 final = pool_arrays(*mean_analyses(data.mean_stats, *segment))
-                assert runs.final_m[r] == final.m
-                for name in ("theta", "se", "gamma_hat", "df_hat"):
-                    got = getattr(runs, f"final_{name}")[r].item()
+                assert runs.finals.m[r] == final.m
+                for name in POOLED_COLUMNS:
+                    got = getattr(runs.finals, name)[r].item()
                     assert repr(got) == repr(getattr(final, name)), (r, name)
         for r, rec in enumerate(recs):
             if rec.pilot_sufficient:
@@ -300,17 +304,16 @@ def pilot_runs(*ses: float, gamma: float = 0.3) -> TwoStageRuns:
     pilots = pool_rows(estimates, withins)
     recs = recommend_replicates(pilots, ReplicabilityTarget("cv_of_se", 0.5))
     assert recs.pilot_sufficient.all()
-    return TwoStageRuns(pilots, recs, np.full(len(ses), pilots.m), pilots.theta,
-                        pilots.se, pilots.gamma_hat, pilots.df_hat)
+    return TwoStageRuns(pilots, recs, replace(pilots, m=np.full(len(ses), pilots.m)))
 
 
-SUMMARY_COLUMNS = {  # TwoStageSummary's field: the column of TwoStageRuns it summarises
-    "m_required": "m_required",
-    "final_m": "final_m",
-    "final_estimate": "final_theta",
-    "final_se": "final_se",
-    "final_df_hat": "final_df_hat",
-    "final_gamma_hat": "final_gamma_hat",
+SUMMARY_COLUMNS = {  # TwoStageSummary's field: the TwoStageRuns stage and column it summarises
+    "m_required": ("recommendations", "m_required"),
+    "final_m": ("finals", "m"),
+    "final_estimate": ("finals", "theta"),
+    "final_se": ("finals", "se"),
+    "final_df_hat": ("finals", "df_hat"),
+    "final_gamma_hat": ("finals", "gamma_hat"),
 }
 
 
@@ -326,10 +329,10 @@ def column_summary(values: np.ndarray) -> FieldSummary:
     return FieldSummary(mean, sd, float(np.min(values)), float(np.max(values)))
 
 
-def column_runs(**columns: np.ndarray) -> TwoStageRuns:
+def column_runs(m_required: np.ndarray, **finals: np.ndarray) -> TwoStageRuns:
     """Two-stage runs that hold the given summarised columns; the summary reads no other."""
-    recs = RecommendationColumns(*([None] * 2), columns.pop("m_required"), *([None] * 2))
-    return TwoStageRuns(None, recs, **columns)
+    recs = RecommendationColumns(*([None] * 2), m_required, *([None] * 2))
+    return TwoStageRuns(None, recs, PooledReplicates(v_total=None, **finals))
 
 
 class TestSummaries:
@@ -358,15 +361,15 @@ class TestSummaries:
         m_required = rng.integers(2, 5000, reps)
         runs = column_runs(
             m_required=m_required,
-            final_m=np.full(reps, 40),
-            final_theta=16.642 + 0.01 * rng.standard_normal(reps),
-            final_se=np.full(reps, 0.20533040718753454),
-            final_df_hat=rng.lognormal(8.0, 2.0, reps),
-            final_gamma_hat=rng.random(reps),
+            m=np.full(reps, 40),
+            theta=16.642 + 0.01 * rng.standard_normal(reps),
+            se=np.full(reps, 0.20533040718753454),
+            df_hat=rng.lognormal(8.0, 2.0, reps),
+            gamma_hat=rng.random(reps),
         )
         summary = summarize_two_stage(runs)
-        for name, column in SUMMARY_COLUMNS.items():
-            source = runs.recommendations if name == "m_required" else runs
+        for name, (stage, column) in SUMMARY_COLUMNS.items():
+            source = getattr(runs, stage)
             expected = column_summary(getattr(source, column))
             assert repr(astuple(getattr(summary, name))) == repr(astuple(expected)), name
             assert repr(astuple(FieldSummary.each(getattr(source, column))[0])) == repr(

@@ -190,7 +190,7 @@ def test_pool_arrays_is_pool_bit_for_bit(rows, level):
     assert repr(pool_arrays(estimates[order], withins[order], level)) == repr(pool(rows, level))
 
 
-KERNEL_FIELDS = ("theta", "w_bar", "b", "v_total", "se", "gamma_hat", "gamma_raw", "df_hat")
+KERNEL_FIELDS = ("theta", "v_total", "se", "gamma_hat", "df_hat")
 
 # What pooling a row alone raises, for each way a row can be made bad.
 BAD_ROW_ERRORS = {
@@ -234,9 +234,13 @@ def test_pool_rows_is_pool_arrays_row_by_row(data, reps, m, bad):
             # repr keeps every float's bits, the sign of zero included
             assert repr(getattr(pooled, field)[r].item()) == repr(getattr(row, field)), field
         # the sums are numpy's own mean and var(ddof=1) of the row as given
+        w_bar, b = float(np.mean(withins[r])), float(np.var(estimates[r], ddof=1))
+        v_total = w_bar + (1.0 + 1.0 / m) * b
         assert repr(row.theta) == repr(float(np.mean(estimates[r])))
-        assert repr(row.b) == repr(float(np.var(estimates[r], ddof=1)))
-        assert repr(row.w_bar) == repr(float(np.mean(withins[r])))
+        assert repr(row.b) == repr(b)
+        assert repr(row.w_bar) == repr(w_bar)
+        assert repr(pooled.v_total[r].item()) == repr(v_total)
+        assert repr(pooled.se[r].item()) == repr(math.sqrt(v_total))
 
 
 def make_bad(estimates, withins, kind):
@@ -348,9 +352,9 @@ def test_engine_block_pools_in_lexsort_order(reps, m):
 
 
 # Rows with a tie.  In the first two, the order among equal estimates
-# changes w_bar's bits: summed in lexsort order the two withins of 1.0 come
-# before 1e16 and survive its rounding; summed 1e16 first, as given, they
-# are lost.
+# changes the bits of w_bar, and so of v_total: summed in lexsort order the
+# two withins of 1.0 come before 1e16 and survive its rounding; summed 1e16
+# first, as given, they are lost.
 TIED_ROWS = {
     "tied estimates": ([0.0, 0.0, -1.0], [1e16, 1.0, 1.0]),
     "signed zeros": ([0.0, -0.0, -1.0], [1e16, 1.0, 1.0]),
@@ -364,8 +368,8 @@ def test_block_with_a_tie_pools_in_lexsort_order(tied):
     estimates = np.array([[3.0, 1.0, 2.0], TIED_ROWS[tied][0], [-5.0, 4.0, 0.5]])
     withins = np.array([[1.0, 2.0, 3.0], TIED_ROWS[tied][1], [0.5, 0.5, 0.5]])
     assert_pools_as_given_and_in_lexsort_order(estimates, withins)
-    as_given = pool_rows(estimates, withins).w_bar[1]
-    in_lexsort_order = pool_rows(*lexsorted(estimates, withins)).w_bar[1]
+    as_given = pool_rows(estimates, withins).v_total[1]
+    in_lexsort_order = pool_rows(*lexsorted(estimates, withins)).v_total[1]
     assert (as_given == in_lexsort_order) == (tied == "all equal")
 
 
